@@ -8,6 +8,9 @@
 
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "src/cache/lru_cache.h"
 #include "src/cache/set_assoc_lru.h"
 #include "src/common/analysis.h"
@@ -40,6 +43,56 @@ BM_EventQueueScheduleRun(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * 1000);
 }
 BENCHMARK(BM_EventQueueScheduleRun);
+
+/** Shared state of the self-rescheduling events below. */
+struct HoldContext
+{
+    EventQueue *eq;
+    Rng rng;
+};
+
+/** An event that reschedules a copy of itself a random delay ahead:
+ *  the "hold" model, which keeps the pending count constant. The
+ *  callable is exactly `Bytes` bytes. */
+template <std::size_t Bytes>
+struct HoldEvent
+{
+    HoldContext *ctx;
+    std::array<unsigned char, Bytes - sizeof(HoldContext *)> pad{};
+
+    void
+    operator()() const
+    {
+        ctx->eq->scheduleAfter((1 + ctx->rng.uniformInt(4000)) * nsec,
+                               HoldEvent(*this));
+    }
+};
+
+/**
+ * Kernel cost per event with `state.range(0)` events pending (160 is
+ * the mean depth measured while one ndp_4ssd_uniform query runs) and
+ * a `Bytes`-byte capture: 16 fits inline, 64 and 96 take the spill
+ * pool.
+ */
+template <std::size_t Bytes>
+void
+BM_EventQueueAtDepth(benchmark::State &state)
+{
+    EventQueue eq;
+    HoldContext ctx{&eq, Rng(12345)};
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        eq.scheduleAfter((1 + ctx.rng.uniformInt(4000)) * nsec,
+                         HoldEvent<Bytes>{&ctx});
+    for (auto _ : state) {
+        for (int i = 0; i < 1000; ++i)
+            eq.runOne();
+    }
+    benchmark::DoNotOptimize(eq.now());
+    state.SetItemsProcessed(state.iterations() * 1000);
+}
+BENCHMARK_TEMPLATE(BM_EventQueueAtDepth, 16)->Arg(160);
+BENCHMARK_TEMPLATE(BM_EventQueueAtDepth, 64)->Arg(160);
+BENCHMARK_TEMPLATE(BM_EventQueueAtDepth, 96)->Arg(160);
 
 void
 BM_SetAssocLruAccess(benchmark::State &state)

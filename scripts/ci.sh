@@ -45,12 +45,6 @@
 #      freq-layout, mixed-RW and 2-tenant QoS smokes and two
 #      bench-gate configs ride the sanitizer leg too).
 #      RECSSD_SKIP_SANITIZERS=1 skips this stage (hosts without ASan).
-#   9  serve + sharded + mixed-RW smokes under ThreadSanitizer in a
-#      third build tree. The simulator is single-threaded today, so
-#      this leg documents (and keeps green) the parallel-DES readiness
-#      contract declared through SimMutex/RECSSD_GUARDED_BY in
-#      src/common/analysis.h rather than hunting live races.
-#      RECSSD_SKIP_TSAN=1 skips it (hosts without TSan runtimes).
 # The main build is configured with -DRECSSD_WERROR=ON: the tier-1
 # tree must compile warning-clean under -Wall -Wextra -Werror.
 # Pass a generator via CMAKE_GENERATOR if you want Ninja; the default
@@ -200,25 +194,6 @@ if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
         --update-skew 0.8 --queries 40 --qps 500 > /dev/null
     RECSSD_AUDIT=1 ./build-asan/tools/recssd_sim --serve --backend ndp \
         --all-ssd --tenants "${QOS_PAIR}" > /dev/null
-fi
-
-if [[ "${RECSSD_SKIP_TSAN:-0}" != "1" ]]; then
-    echo
-    echo "=== stage 9: serve + sharded smokes under ThreadSanitizer ==="
-    TSAN_FLAGS="-fsanitize=thread"
-    cmake -B build-tsan -S . \
-        -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DCMAKE_CXX_FLAGS="${TSAN_FLAGS}" \
-        -DCMAKE_EXE_LINKER_FLAGS="${TSAN_FLAGS}"
-    cmake --build build-tsan -j --target recssd_sim
-    ./build-tsan/tools/recssd_sim --serve --model RM1 --backend ndp \
-        --all-ssd --num-ssds 1 --queries 40 --qps 500 > /dev/null
-    ./build-tsan/tools/recssd_sim --serve --model RM1 --backend ndp \
-        --all-ssd --num-ssds 4 --shard-policy hash --queries 40 \
-        --qps 500 > /dev/null
-    RECSSD_AUDIT=1 ./build-tsan/tools/recssd_sim --serve --model RM1 \
-        --backend ndp --all-ssd --num-ssds 1 --update-rate 2000 \
-        --update-skew 0.8 --queries 40 --qps 500 > /dev/null
 fi
 
 echo

@@ -19,7 +19,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
             echo
             echo "##### $(basename "$b") #####"
             case "$b" in
-                *micro*) "$b" --benchmark_min_time=0.05s ;;
+                *micro*) "$b" --benchmark_min_time=0.05 ;;
                 *) "$b" ;;
             esac
         fi

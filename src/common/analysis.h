@@ -2,65 +2,19 @@
  * @file
  * Protocol annotations for static analysis.
  *
- * Two consumers read these macros:
- *
- *  1. `tools/sim_lint.py` (rules R5-R8). The protocol markers expand
- *     to nothing for every compiler; the linter reads the tokens from
- *     source text and builds a registry of which functions defer
- *     callbacks, which consult the *live* L2P/epoch state, which
- *     register stats, and which open/close tracer spans. The deferred-
- *     state contract they encode is documented in DESIGN.md
- *     ("Deferred-state protocol"): state captured at command issue
- *     (a PPN, a PageView, a cache slot, a hot-tier pin) must be passed
- *     through a live-lookup or epoch check at completion time before
- *     it is re-inserted into any mapping-derived structure.
- *
- *  2. clang's `-Wthread-safety` analysis. The RECSSD_GUARDED_BY /
- *     RECSSD_REQUIRES / capability macros map onto the Clang
- *     thread-safety attributes when compiling with clang and expand to
- *     nothing under gcc. Today the simulator is single-threaded, so
- *     `SimMutex` is a zero-cost stand-in; the parallel-DES rewrite
- *     replaces its empty lock/unlock with a real mutex (or a per-LP
- *     sequencer) and inherits a machine-checked locking contract that
- *     was enforced before the first thread was ever spawned.
+ * `tools/sim_lint.py` (rules R5-R8) reads these macros. They expand to
+ * nothing for every compiler; the linter reads the tokens from source
+ * text and builds a registry of which functions defer callbacks, which
+ * consult the *live* L2P/epoch state, which register stats, and which
+ * open/close tracer spans. The deferred-state contract they encode is
+ * documented in DESIGN.md ("Deferred-state protocol"): state captured
+ * at command issue (a PPN, a PageView, a cache slot, a hot-tier pin)
+ * must be passed through a live-lookup or epoch check at completion
+ * time before it is re-inserted into any mapping-derived structure.
  */
 
 #ifndef RECSSD_COMMON_ANALYSIS_H
 #define RECSSD_COMMON_ANALYSIS_H
-
-/* ------------------------------------------------------------------ */
-/* Clang thread-safety attribute mapping (no-ops everywhere else).    */
-/* ------------------------------------------------------------------ */
-
-#ifndef __has_attribute
-#define __has_attribute(x) 0
-#endif
-
-#if defined(__clang__) && __has_attribute(capability)
-#define RECSSD_TSA(x) __attribute__((x))
-#else
-#define RECSSD_TSA(x)  // not clang: contracts are checked by CI's clang leg
-#endif
-
-/** Declares a type to be a lockable capability. */
-#define RECSSD_CAPABILITY(name) RECSSD_TSA(capability(name))
-/** An RAII type that acquires a capability for its lifetime. */
-#define RECSSD_SCOPED_CAPABILITY RECSSD_TSA(scoped_lockable)
-/** Data member readable/writable only while `x` is held. */
-#define RECSSD_GUARDED_BY(x) RECSSD_TSA(guarded_by(x))
-/** Pointer member whose *pointee* is guarded by `x`. */
-#define RECSSD_PT_GUARDED_BY(x) RECSSD_TSA(pt_guarded_by(x))
-/** Function that may only be called while holding the capabilities. */
-#define RECSSD_REQUIRES(...) RECSSD_TSA(requires_capability(__VA_ARGS__))
-/** Function that acquires the capabilities and holds them on return. */
-#define RECSSD_ACQUIRE(...) RECSSD_TSA(acquire_capability(__VA_ARGS__))
-/** Function that releases the capabilities. */
-#define RECSSD_RELEASE(...) RECSSD_TSA(release_capability(__VA_ARGS__))
-/** Function that must NOT be entered holding the capabilities. */
-#define RECSSD_EXCLUDES(...) RECSSD_TSA(locks_excluded(__VA_ARGS__))
-/** Escape hatch: disable the analysis for one function. */
-#define RECSSD_NO_THREAD_SAFETY_ANALYSIS \
-    RECSSD_TSA(no_thread_safety_analysis)
 
 /* ------------------------------------------------------------------ */
 /* sim-lint protocol markers (rules R5-R8). All expand to nothing;    */
@@ -145,47 +99,5 @@
  * drained event queue").
  */
 #define RECSSD_CAPTURES_MAPPING(why)
-
-namespace recssd
-{
-
-/**
- * Zero-cost capability object for pre-declared locking contracts.
- *
- * Single-threaded today: lock()/unlock() compile to nothing, so
- * artifacts stay byte-identical (enforced by test_determinism). Under
- * clang the capability attributes make every RECSSD_GUARDED_BY member
- * access require a SimLockGuard in scope — the contract the parallel
- * DES kernel will inherit with a real lock implementation.
- */
-class RECSSD_CAPABILITY("mutex") SimMutex
-{
-  public:
-    SimMutex() = default;
-    SimMutex(const SimMutex &) = delete;
-    SimMutex &operator=(const SimMutex &) = delete;
-
-    void lock() RECSSD_ACQUIRE() {}
-    void unlock() RECSSD_RELEASE() {}
-};
-
-/** RAII holder for a SimMutex (empty; optimized out entirely). */
-class RECSSD_SCOPED_CAPABILITY SimLockGuard
-{
-  public:
-    explicit SimLockGuard(SimMutex &mu) RECSSD_ACQUIRE(mu) : mu_(mu)
-    {
-        mu_.lock();
-    }
-    ~SimLockGuard() RECSSD_RELEASE() { mu_.unlock(); }
-
-    SimLockGuard(const SimLockGuard &) = delete;
-    SimLockGuard &operator=(const SimLockGuard &) = delete;
-
-  private:
-    SimMutex &mu_;
-};
-
-}  // namespace recssd
 
 #endif  // RECSSD_COMMON_ANALYSIS_H

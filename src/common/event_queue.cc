@@ -11,52 +11,96 @@ EventQueue::EventQueue() : audit_(auditEnabled())
 }
 
 void
-EventQueue::schedule(Tick when, Callback cb)
+EventQueue::schedule(Tick when, Callback &&cb)
 {
     recssd_assert(when >= now_, "cannot schedule in the past (%llu < %llu)",
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
     recssd_assert(cb != nullptr, "cannot schedule a null callback");
-    SimLockGuard hold(mu_);
-    events_.push(Event{when, nextSeq_++, std::move(cb)});
+    Key key{when, nextSeq_++, callbacks_.put(std::move(cb))};
+    // Sift up: move parents down into the hole until the key fits.
+    std::size_t hole = heap_.size();
+    heap_.push_back(key);
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / 4;
+        if (!before(key, heap_[parent]))
+            break;
+        heap_[hole] = heap_[parent];
+        hole = parent;
+    }
+    heap_[hole] = key;
+}
+
+EventQueue::Key
+EventQueue::popMin()
+{
+    Key top = heap_.front();
+    Key last = heap_.back();
+    heap_.pop_back();
+    std::size_t n = heap_.size();
+    if (n == 0)
+        return top;
+    // Bottom-up deletion: walk the hole from the root to a leaf along
+    // the smallest-child path, then sift the displaced last key up
+    // from there. It usually belongs near the bottom, so this costs
+    // fewer comparisons than sifting it down from the root, and the
+    // descent's only data-dependent choices are branch-free selects.
+    Key *h = heap_.data();
+    std::size_t hole = 0;
+    while (true) {
+        std::size_t first = 4 * hole + 1;
+        std::size_t best;
+        if (first + 3 < n) {
+            std::size_t a = first + before(h[first + 1], h[first]);
+            std::size_t b = first + 2 + before(h[first + 3], h[first + 2]);
+            best = before(h[b], h[a]) ? b : a;
+        } else if (first < n) {
+            best = first;
+            for (std::size_t c = first + 1; c < n; ++c)
+                best = before(h[c], h[best]) ? c : best;
+        } else {
+            break;
+        }
+        h[hole] = h[best];
+        hole = best;
+    }
+    while (hole > 0) {
+        std::size_t parent = (hole - 1) / 4;
+        if (!before(last, h[parent]))
+            break;
+        h[hole] = h[parent];
+        hole = parent;
+    }
+    h[hole] = last;
+    return top;
 }
 
 bool
 EventQueue::runOne()
 {
-    Tick when;
-    std::uint64_t seq;
-    Callback cb;
-    {
-        // The queue mutation is the cross-LP surface; the callback
-        // itself runs outside the lock (it may re-enter schedule()).
-        SimLockGuard hold(mu_);
-        if (events_.empty())
-            return false;
-        // priority_queue::top returns const ref; move the callback out
-        // via a const_cast, which is safe because we pop immediately.
-        Event &ev = const_cast<Event &>(events_.top());
-        when = ev.when;
-        seq = ev.seq;
-        cb = std::move(ev.cb);
-        events_.pop();
-    }
+    if (heap_.empty())
+        return false;
+    Key key = popMin();
     if (audit_) {
-        recssd_assert(!popped_ || when > lastWhen_ ||
-                          (when == lastWhen_ && seq > lastSeq_),
+        recssd_assert(!popped_ || key.when > lastWhen_ ||
+                          (key.when == lastWhen_ && key.seq > lastSeq_),
                       "audit: event pop order regressed "
                       "(when=%llu seq=%llu after when=%llu seq=%llu)",
-                      static_cast<unsigned long long>(when),
-                      static_cast<unsigned long long>(seq),
+                      static_cast<unsigned long long>(key.when),
+                      static_cast<unsigned long long>(key.seq),
                       static_cast<unsigned long long>(lastWhen_),
                       static_cast<unsigned long long>(lastSeq_));
         popped_ = true;
-        lastWhen_ = when;
-        lastSeq_ = seq;
+        lastWhen_ = key.when;
+        lastSeq_ = key.seq;
     }
-    now_ = when;
+    now_ = key.when;
     ++executed_;
-    cb();
+    // Run the callback where it sits: slots never move, and this one
+    // is not freed (so not reused by a re-entrant schedule) until the
+    // callback returns.
+    callbacks_[key.slot]();
+    callbacks_.release(key.slot);
     return true;
 }
 
@@ -73,14 +117,8 @@ EventQueue::runUntil(Tick limit)
 {
     if (empty())
         return now_;  // nothing to simulate; time does not flow
-    while (true) {
-        {
-            SimLockGuard hold(mu_);
-            if (events_.empty() || events_.top().when > limit)
-                break;
-        }
+    while (!heap_.empty() && heap_.front().when <= limit)
         runOne();
-    }
     if (now_ < limit)
         now_ = limit;
     return now_;

@@ -12,11 +12,10 @@
 #define RECSSD_COMMON_EVENT_QUEUE_H
 
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <vector>
 
 #include "src/common/analysis.h"
+#include "src/common/inline_function.h"
 #include "src/common/types.h"
 
 namespace recssd
@@ -25,11 +24,20 @@ namespace recssd
 class Tracer;                // src/obs — attached here so every layer
 class UtilizationCollector;  // can reach them without new plumbing
 
-/** Priority queue of timed callbacks; the heart of the simulator. */
+/**
+ * Priority queue of timed callbacks; the heart of the simulator.
+ *
+ * Callbacks sit in a slot pool and never move while pending; the
+ * ordering structure is a 4-ary min-heap of 24-byte (when, seq, slot)
+ * keys, so a sift moves keys, not callables. A callback runs in its
+ * slot, and the slot is freed (and reused LIFO) once it returns.
+ */
 class EventQueue
 {
   public:
-    using Callback = std::function<void()>;
+    /** Move-only; captures up to kInlineCallbackBytes live inline,
+     *  bigger ones spill to a reused pool (src/common/inline_function.h). */
+    using Callback = InlineFunction<void()>;
 
     EventQueue();
 
@@ -47,29 +55,19 @@ class EventQueue
      * mapping-derived state must be re-validated inside before use
      * and reference captures need an ownership annotation.
      */
-    void schedule(Tick when, Callback cb) RECSSD_DEFERS_CALLBACK
-        RECSSD_EXCLUDES(mu_);
+    void schedule(Tick when, Callback &&cb) RECSSD_DEFERS_CALLBACK;
 
     /** Schedule a callback `delay` ticks from now. */
-    void scheduleAfter(Tick delay, Callback cb) RECSSD_DEFERS_CALLBACK
-        RECSSD_EXCLUDES(mu_)
+    void scheduleAfter(Tick delay, Callback &&cb) RECSSD_DEFERS_CALLBACK
     {
         schedule(now_ + delay, std::move(cb));
     }
 
     /** True when no events remain. */
-    bool empty() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return events_.empty();
-    }
+    bool empty() const { return heap_.empty(); }
 
     /** Number of pending events. */
-    std::size_t pending() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return events_.size();
-    }
+    std::size_t pending() const { return heap_.size(); }
 
     /**
      * Execute the next event, advancing time to its tick.
@@ -104,42 +102,38 @@ class EventQueue
     /** @} */
 
   private:
-    struct Event
+    /** Heap key: the callback itself stays in `callbacks_[slot]`. */
+    struct Key
     {
         Tick when;
         std::uint64_t seq;
-        Callback cb;
-    };
-
-    struct Later
-    {
-        bool
-        operator()(const Event &a, const Event &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
+        std::uint32_t slot;
     };
 
     /**
-     * Pre-declared parallel-DES capability (see src/common/analysis.h):
-     * the cross-LP surface — event insertion and extraction — will
-     * serialize on this when logical processes run concurrently.
-     * Zero-cost today: SimLockGuard compiles to nothing, and the
-     * determinism suite proves artifacts stay byte-identical.
+     * Pop order: earlier tick first, FIFO (by seq) within a tick. One
+     * unsigned 128-bit compare of (when << 64 | seq) does both without
+     * a hard-to-predict branch.
      */
-    mutable SimMutex mu_;
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        __extension__ typedef unsigned __int128 Order;
+        return ((Order(a.when) << 64) | a.seq) <
+               ((Order(b.when) << 64) | b.seq);
+    }
 
-    /** Owned by the executing logical process (single consumer):
-     *  `now_`/`executed_` advance only inside runOne(). */
+    /** Remove the minimum key from the heap and return it. */
+    Key popMin();
+
     Tick now_ = 0;
-    std::uint64_t nextSeq_ RECSSD_GUARDED_BY(mu_) = 0;
+    std::uint64_t nextSeq_ = 0;
     std::uint64_t executed_ = 0;
     Tracer *tracer_ = nullptr;
     UtilizationCollector *util_ = nullptr;
-    std::priority_queue<Event, std::vector<Event>, Later> events_
-        RECSSD_GUARDED_BY(mu_);
+    /** 4-ary min-heap under `before`: children of i are 4i+1..4i+4. */
+    std::vector<Key> heap_;
+    RecordPool<Callback> callbacks_;
 
     /** @{ RECSSD_AUDIT: pops must be strictly increasing in
      *  (when, seq) -- time never runs backwards, and same-tick events

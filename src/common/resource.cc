@@ -14,7 +14,7 @@ SerialResource::SerialResource(EventQueue &eq, std::string name)
 }
 
 Tick
-SerialResource::acquire(Tick service, EventQueue::Callback done)
+SerialResource::acquire(Tick service, EventQueue::Callback &&done)
 {
     Tick start = std::max(eq_.now(), freeAt_);
     freeAt_ = start + service;
@@ -43,7 +43,7 @@ PoolResource::earliestFree() const
 }
 
 Tick
-PoolResource::acquire(Tick service, EventQueue::Callback done)
+PoolResource::acquire(Tick service, EventQueue::Callback &&done)
 {
     auto it = std::min_element(freeAt_.begin(), freeAt_.end());
     Tick start = std::max(eq_.now(), *it);

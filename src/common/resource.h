@@ -35,7 +35,7 @@ class SerialResource
      * Work starts at max(now, previous completion).
      * @return the completion tick.
      */
-    Tick acquire(Tick service, EventQueue::Callback done)
+    Tick acquire(Tick service, EventQueue::Callback &&done)
         RECSSD_DEFERS_CALLBACK;
 
     /** Enqueue work with no completion callback. */
@@ -69,7 +69,7 @@ class PoolResource
      * Enqueue `service` ticks of work on the earliest-free server.
      * @return the completion tick.
      */
-    Tick acquire(Tick service, EventQueue::Callback done)
+    Tick acquire(Tick service, EventQueue::Callback &&done)
         RECSSD_DEFERS_CALLBACK;
 
     Tick acquire(Tick service) { return acquire(service, nullptr); }

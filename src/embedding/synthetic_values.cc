@@ -26,14 +26,19 @@ mix(std::uint64_t x)
     return x;
 }
 
+/** Hash input shared by every element of one row. */
+std::uint64_t
+rowSeed(std::uint32_t table_id, RowId row)
+{
+    return (std::uint64_t(table_id) << 48) ^ (row << 12);
+}
+
 }  // namespace
 
 float
 value(std::uint32_t table_id, RowId row, std::uint32_t element)
 {
-    std::uint64_t h = mix((std::uint64_t(table_id) << 48) ^ (row << 12) ^
-                          element);
-    return static_cast<float>(h & 0xF);
+    return static_cast<float>(mix(rowSeed(table_id, row) ^ element) & 0xF);
 }
 
 void
@@ -42,9 +47,31 @@ fillVector(const EmbeddingTableDesc &desc, RowId row,
 {
     recssd_assert(out.size() >= desc.vectorBytes(),
                   "output smaller than vector");
-    for (std::uint32_t e = 0; e < desc.dim; ++e)
-        encodeAttr(out, e, desc.attrBytes,
-                   value(desc.id, desc.globalRow(row), e));
+    // Same values as encodeAttr(out, e, attrBytes, value(...)) per
+    // element, with the row's hash seed and the attribute-size switch
+    // hoisted out of the element loop.
+    const std::uint64_t seed = rowSeed(desc.id, desc.globalRow(row));
+    std::byte *dst = out.data();
+    switch (desc.attrBytes) {
+      case 4:
+        for (std::uint32_t e = 0; e < desc.dim; ++e) {
+            float v = static_cast<float>(mix(seed ^ e) & 0xF);
+            std::memcpy(dst + std::size_t(e) * 4, &v, 4);
+        }
+        return;
+      case 2:
+        for (std::uint32_t e = 0; e < desc.dim; ++e) {
+            auto v = static_cast<std::uint16_t>(mix(seed ^ e) & 0xF);
+            std::memcpy(dst + std::size_t(e) * 2, &v, 2);
+        }
+        return;
+      case 1:
+        for (std::uint32_t e = 0; e < desc.dim; ++e)
+            dst[e] = static_cast<std::byte>(mix(seed ^ e) & 0xF);
+        return;
+      default:
+        panic("unsupported attribute size %u", desc.attrBytes);
+    }
 }
 
 std::vector<float>
@@ -100,7 +127,6 @@ makeGenerator(const EmbeddingTableDesc &desc)
     return [d](std::uint64_t page_in_region, std::size_t offset,
                std::span<std::byte> out) {
         const std::uint32_t vec_bytes = d.vectorBytes();
-        std::vector<std::byte> vec(vec_bytes);
         std::size_t end = offset + out.size();
         std::uint32_t first_slot =
             static_cast<std::uint32_t>(offset / vec_bytes);
@@ -109,21 +135,37 @@ makeGenerator(const EmbeddingTableDesc &desc)
         for (std::uint32_t slot = first_slot; slot < last_slot; ++slot) {
             RowId row = page_in_region * d.rowsPerPage + slot;
             std::size_t slot_begin = std::size_t(slot) * vec_bytes;
-            if (slot >= d.rowsPerPage || row >= d.rows) {
-                // Page tail padding / rows past the end: zero fill.
-                std::size_t from = std::max(offset, slot_begin);
-                std::size_t to = std::min(end, slot_begin + vec_bytes);
-                if (to > from) {
-                    std::fill(out.begin() + (from - offset),
-                              out.begin() + (to - offset), std::byte{0});
-                }
-                continue;
-            }
-            fillVector(d, row, vec);
             std::size_t from = std::max(offset, slot_begin);
             std::size_t to = std::min(end, slot_begin + vec_bytes);
-            std::memcpy(out.data() + (from - offset),
-                        vec.data() + (from - slot_begin), to - from);
+            if (to <= from)
+                continue;
+            std::span<std::byte> dst = out.subspan(from - offset, to - from);
+            if (slot >= d.rowsPerPage || row >= d.rows) {
+                // Page tail padding / rows past the end: zero fill.
+                std::ranges::fill(dst, std::byte{0});
+                continue;
+            }
+            if (dst.size() == vec_bytes) {
+                // The common case, a whole vector: encode in place.
+                fillVector(d, row, dst);
+                continue;
+            }
+            // A vector cut by the range: encode the elements that
+            // overlap it one at a time and keep their in-range bytes.
+            for (std::uint32_t e = 0; e < d.dim; ++e) {
+                std::size_t elem_begin = slot_begin + std::size_t(e) *
+                                                          d.attrBytes;
+                std::size_t elem_end = elem_begin + d.attrBytes;
+                if (elem_end <= from || elem_begin >= to)
+                    continue;
+                std::byte elem[4];
+                encodeAttr(elem, 0, d.attrBytes,
+                           value(d.id, d.globalRow(row), e));
+                std::size_t lo = std::max(from, elem_begin);
+                std::size_t hi = std::min(to, elem_end);
+                std::memcpy(out.data() + (lo - offset),
+                            elem + (lo - elem_begin), hi - lo);
+            }
         }
     };
 }

@@ -22,12 +22,17 @@ DataStore::write(Ppn ppn, std::span<const std::byte> data)
 const std::pair<const Ppn, DataStore::Region> *
 DataStore::findRegion(Ppn ppn) const
 {
+    if (lastRegion_ && ppn >= lastRegion_->first &&
+        ppn < lastRegion_->first + lastRegion_->second.pages)
+        return lastRegion_;
     auto it = regions_.upper_bound(ppn);
     if (it == regions_.begin())
         return nullptr;
     --it;
-    if (ppn < it->first + it->second.pages)
-        return &*it;
+    if (ppn < it->first + it->second.pages) {
+        lastRegion_ = &*it;
+        return lastRegion_;
+    }
     return nullptr;
 }
 
@@ -37,10 +42,14 @@ DataStore::read(Ppn ppn, std::size_t offset, std::span<std::byte> out) const
     recssd_assert(offset + out.size() <= pageSize_,
                   "read beyond page end (%zu + %zu > %u)", offset,
                   out.size(), pageSize_);
-    auto it = stored_.find(ppn);
-    if (it != stored_.end()) {
-        std::memcpy(out.data(), it->second.data() + offset, out.size());
-        return;
+    // Read-only runs never store explicit pages; skip the hash probe.
+    if (!stored_.empty()) {
+        auto it = stored_.find(ppn);
+        if (it != stored_.end()) {
+            std::memcpy(out.data(), it->second.data() + offset,
+                        out.size());
+            return;
+        }
     }
     if (const auto *region = findRegion(ppn)) {
         region->second.gen(ppn - region->first, offset, out);

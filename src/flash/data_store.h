@@ -95,6 +95,9 @@ class DataStore
     unsigned pageSize_;
     std::unordered_map<Ppn, std::vector<std::byte>> stored_;
     std::map<Ppn, Region> regions_;  // keyed by region start
+    /** The region findRegion last returned: page gathers hit the same
+     *  table region back to back. Map nodes never move. */
+    mutable const std::pair<const Ppn, Region> *lastRegion_ = nullptr;
 };
 
 }  // namespace recssd

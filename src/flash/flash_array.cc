@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
-#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -66,7 +65,7 @@ FlashArray::arrayReadTime()
 }
 
 void
-FlashArray::emitDieSpans(const FlashAddress &addr, Phase phase,
+FlashArray::emitDieSpans(unsigned ch, unsigned d, Phase phase,
                          Tick service, std::uint64_t trace_id)
 {
     Tracer *tracer = tracerOf(eq_);
@@ -80,10 +79,10 @@ FlashArray::emitDieSpans(const FlashAddress &addr, Phase phase,
     // long "wait" on every victim queued behind it. The "busy" span's
     // end is in the future, which is safe — the completion event at
     // exactly that tick keeps the trace's clamp window covering it.
-    TrackId track = tracer->track(
-        dieTrackNames_[addr.channel * params_.diesPerChannel + addr.die]);
+    TrackId track =
+        tracer->track(dieTrackNames_[ch * params_.diesPerChannel + d]);
     Tick now = eq_.now();
-    Tick start = std::max(now, die(addr.channel, addr.die).freeAt());
+    Tick start = std::max(now, die(ch, d).freeAt());
     if (start > now)
         tracer->span(track, "wait", phase, trace_id, now, start);
     tracer->span(track, "busy", phase, trace_id, start, start + service);
@@ -129,36 +128,48 @@ FlashArray::readPage(Ppn ppn, ReadCallback done, std::uint64_t trace_id)
                              "read", Phase::FlashRead, trace_id);
     }
 
-    // Phase 1: command issue occupies the channel bus.
-    channel(addr.channel).acquire(params_.cmdLatency, [this, addr, ppn, span,
-                                                       trace_id,
-                                                       done =
-                                                           std::move(done)]()
-                                                          mutable {
-        // Phase 2: array read occupies the die (plus any injected
-        // read retries on marginal cells).
-        Tick service = arrayReadTime();
-        emitDieSpans(addr, Phase::FlashRead, service, trace_id);
-        die(addr.channel, addr.die)
-            .acquire(service, [this, addr, ppn, span,
-                               done = std::move(done)]() mutable {
-                // Phase 3: page data crosses the channel bus.
-                channel(addr.channel)
-                    .acquire(params_.pageTransferTime(),
-                             [this, ppn, span, done = std::move(done)]() {
-                                 // The flash layer is below the L2P map:
-                                 // ppn is this read's physical target, not
-                                 // a mapping snapshot. The log-structured
-                                 // FTL never rewrites a live ppn, so the
-                                 // bytes under it are stable until erase.
-                                 RECSSD_DEFERRED_SAFE(
-                                     "physical address, not mapping state");
-                                 if (Tracer *tracer = tracerOf(eq_))
-                                     tracer->end(span);
-                                 done(PageView(store_, ppn));
-                             });
-            });
-    });
+    // Phase 1: command issue occupies the channel bus. The op record
+    // carries the read through all three phases; the phase
+    // continuations capture only its index.
+    std::uint32_t op = reads_.put(
+        ReadOp{std::move(done), ppn, span, trace_id, addr.channel, addr.die});
+    channel(addr.channel).acquire(params_.cmdLatency,
+                                  [this, op]() { readArray(op); });
+}
+
+void
+FlashArray::readArray(std::uint32_t op)
+{
+    // Phase 2: array read occupies the die (plus any injected read
+    // retries on marginal cells).
+    const ReadOp &read = reads_[op];
+    Tick service = arrayReadTime();
+    emitDieSpans(read.channel, read.die, Phase::FlashRead, service,
+                 read.traceId);
+    die(read.channel, read.die)
+        .acquire(service, [this, op]() { readTransfer(op); });
+}
+
+void
+FlashArray::readTransfer(std::uint32_t op)
+{
+    // Phase 3: page data crosses the channel bus.
+    channel(reads_[op].channel)
+        .acquire(params_.pageTransferTime(), [this, op]() { finishRead(op); });
+}
+
+void
+FlashArray::finishRead(std::uint32_t op)
+{
+    // The flash layer is below the L2P map: the record's ppn is this
+    // read's physical target, not a mapping snapshot. The log-
+    // structured FTL never rewrites a live ppn, so the bytes under it
+    // are stable until erase. The record is freed before `done` runs,
+    // so a read issued from `done` may reuse it.
+    ReadOp read = reads_.take(op);
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(read.span);
+    read.done(PageView(store_, read.ppn));
 }
 
 void
@@ -180,18 +191,20 @@ FlashArray::writePage(Ppn ppn, std::span<const std::byte> data,
 
     // Command + data transfer occupy the channel, then tPROG the die.
     Tick xfer = params_.cmdLatency + params_.pageTransferTime();
-    channel(addr.channel).acquire(xfer, [this, addr, span, trace_id,
-                                         done = std::move(done)]() mutable {
-        emitDieSpans(addr, Phase::FlashWrite, params_.programLatency,
-                     trace_id);
-        die(addr.channel, addr.die)
-            .acquire(params_.programLatency,
-                     [this, span, done = std::move(done)]() {
-                         if (Tracer *tracer = tracerOf(eq_))
-                             tracer->end(span);
-                         if (done)
-                             done();
-                     });
+    std::uint32_t op = programs_.put(
+        DoneOp{std::move(done), span, trace_id, addr.channel, addr.die});
+    channel(addr.channel).acquire(xfer, [this, op]() {
+        const DoneOp &prog = programs_[op];
+        emitDieSpans(prog.channel, prog.die, Phase::FlashWrite,
+                     params_.programLatency, prog.traceId);
+        die(prog.channel, prog.die)
+            .acquire(params_.programLatency, [this, op]() {
+                DoneOp prog = programs_.take(op);
+                if (Tracer *tracer = tracerOf(eq_))
+                    tracer->end(prog.span);
+                if (prog.done)
+                    prog.done();
+            });
     });
 }
 
@@ -209,11 +222,12 @@ FlashArray::eraseBlock(Ppn any_ppn_in_block, DoneCallback done)
                                  params_));
     }
 
-    channel(addr.channel).acquire(params_.cmdLatency, [this, addr,
-                                                       done = std::move(
-                                                           done)]() mutable {
-        die(addr.channel, addr.die)
-            .acquire(params_.eraseLatency, std::move(done));
+    std::uint32_t op = programs_.put(DoneOp{
+        std::move(done), invalidSpan, 0, addr.channel, addr.die});
+    channel(addr.channel).acquire(params_.cmdLatency, [this, op]() {
+        DoneOp erase = programs_.take(op);
+        die(erase.channel, erase.die)
+            .acquire(params_.eraseLatency, std::move(erase.done));
     });
 }
 

@@ -17,7 +17,6 @@
 #ifndef RECSSD_FLASH_FLASH_ARRAY_H
 #define RECSSD_FLASH_FLASH_ARRAY_H
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -25,12 +24,14 @@
 
 #include "src/common/analysis.h"
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/random.h"
 #include "src/common/resource.h"
 #include "src/common/stats.h"
 #include "src/flash/data_store.h"
 #include "src/flash/flash_params.h"
 #include "src/obs/phase.h"
+#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -40,6 +41,8 @@ class PageView
 {
   public:
     PageView(const DataStore &store, Ppn ppn) : store_(&store), ppn_(ppn) {}
+    /** An unbound view; assign a real one before copying out. */
+    PageView() = default;
 
     /** Copy bytes [offset, offset+out.size()) of the page into out. */
     void
@@ -51,16 +54,16 @@ class PageView
     Ppn ppn() const { return ppn_; }
 
   private:
-    const DataStore *store_;
-    Ppn ppn_;
+    const DataStore *store_ = nullptr;
+    Ppn ppn_ = invalidPpn;
 };
 
 /** The flash array: timing plus functional data movement. */
 class FlashArray
 {
   public:
-    using ReadCallback = std::function<void(const PageView &)>;
-    using DoneCallback = std::function<void()>;
+    using ReadCallback = InlineFunction<void(const PageView &)>;
+    using DoneCallback = EventQueue::Callback;
 
     /** `track_prefix` namespaces the per-channel trace tracks (multi-
      *  SSD systems pass "ssd<d>." so device spans stay separable). */
@@ -130,8 +133,35 @@ class FlashArray
 
     /** Record die-track wait/busy spans for an op about to occupy the
      *  die (no-op when tracing is off). */
-    void emitDieSpans(const FlashAddress &addr, Phase phase, Tick service,
+    void emitDieSpans(unsigned ch, unsigned d, Phase phase, Tick service,
                       std::uint64_t trace_id);
+
+    /** In-flight state of one page read across its three phases. */
+    struct ReadOp
+    {
+        ReadCallback done;
+        Ppn ppn = invalidPpn;
+        SpanId span = invalidSpan;
+        std::uint64_t traceId = 0;
+        unsigned channel = 0;
+        unsigned die = 0;
+    };
+
+    /** In-flight state of one program or erase. */
+    struct DoneOp
+    {
+        DoneCallback done;
+        SpanId span = invalidSpan;
+        std::uint64_t traceId = 0;
+        unsigned channel = 0;
+        unsigned die = 0;
+    };
+
+    /** @{ Read phases 2 (tR on the die), 3 (transfer) and completion. */
+    void readArray(std::uint32_t op);
+    void readTransfer(std::uint32_t op);
+    void finishRead(std::uint32_t op);
+    /** @} */
 
     /** One injected latency-inflation window. */
     struct InflationWindow
@@ -152,6 +182,8 @@ class FlashArray
     std::vector<std::string> dieTrackNames_;
     /** Active/pending inflation windows; empty on healthy devices. */
     std::vector<InflationWindow> inflations_;
+    RecordPool<ReadOp> reads_;
+    RecordPool<DoneOp> programs_;  ///< programs and erases
 
     Counter pageReads_;
     Counter pageWrites_;

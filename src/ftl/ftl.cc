@@ -62,9 +62,10 @@ Ftl::hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id)
 {
     hostReads_.inc();
     SpanId span = beginCpuSpan(eq_, cpuTrackName_, "read_cmd", trace_id);
-    cpu_.acquire(params_.readCmdCpu, [this, lpn, span, trace_id,
-                                      done = std::move(done)]() {
-        endSpan(eq_, span);
+    std::uint32_t op = readCmds_.put(ReadCmd{std::move(done), span, trace_id});
+    cpu_.acquire(params_.readCmdCpu, [this, lpn, op]() {
+        const ReadCmd &cmd = readCmds_[op];
+        endSpan(eq_, cmd.span);
         if (layout_) {
             layout_->onAccess(lpn);
             Ppn pinned;
@@ -72,7 +73,7 @@ Ftl::hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id)
                 // Pinned in the hot-row DRAM tier: served without
                 // probing the page cache, so hot-tier hits and
                 // page-cache hits/misses stay disjoint counts.
-                done(PageView(flash_.store(), pinned));
+                readCmds_.take(op).done(PageView(flash_.store(), pinned));
                 return;
             }
         }
@@ -82,19 +83,19 @@ Ftl::hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id)
             // its tier pin here for free, same as on a flash read.
             if (layout_ && layout_->isHot(lpn))
                 layout_->pinFromRead(lpn, cached);
-            done(PageView(flash_.store(), cached));
+            readCmds_.take(op).done(PageView(flash_.store(), cached));
             return;
         }
         Ppn ppn = map_.lookup(lpn);
         if (ppn == invalidPpn) {
             // Unwritten page: a real drive returns zeroes without
             // touching flash.
-            done(PageView(flash_.store(), invalidPpn));
+            readCmds_.take(op).done(PageView(flash_.store(), invalidPpn));
             return;
         }
         flash_.readPage(
             ppn,
-            [this, lpn, ppn, done = std::move(done)](const PageView &view) {
+            [this, lpn, ppn, op](const PageView &view) {
                 // Re-check the mapping — a write or GC move while the
                 // read was in flight makes this PPN stale, and a stale
                 // cache entry would resurrect a pointer the write path
@@ -107,9 +108,9 @@ Ftl::hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id)
                 // buffer at read-DMA completion anyway.
                 if (layout_ && layout_->isHot(lpn) && current)
                     layout_->pinFromRead(lpn, ppn);
-                done(view);
+                readCmds_.take(op).done(view);
             },
-            trace_id);
+            cmd.traceId);
     });
 }
 
@@ -118,14 +119,12 @@ Ftl::hostWrite(Lpn lpn, std::span<const std::byte> data, DoneCallback done,
                std::uint64_t trace_id)
 {
     hostWrites_.inc();
-    // Copy the payload now; the caller's buffer may not outlive the
-    // simulated DMA.
-    auto payload = std::make_shared<std::vector<std::byte>>(data.begin(),
-                                                            data.end());
     SpanId span = beginCpuSpan(eq_, cpuTrackName_, "write_cmd", trace_id);
-    cpu_.acquire(params_.writeCmdCpu, [this, lpn, span, trace_id, payload,
-                                       done = std::move(done)]() mutable {
-        endSpan(eq_, span);
+    std::uint32_t op = writeCmds_.put(
+        WriteCmd{std::move(done), {data.begin(), data.end()}, span, trace_id});
+    cpu_.acquire(params_.writeCmdCpu, [this, lpn, op]() {
+        const WriteCmd &cmd = writeCmds_[op];
+        endSpan(eq_, cmd.span);
         Ppn old = map_.lookup(lpn);
         BlockManager::Stream stream = layout_ && layout_->isHot(lpn)
                                           ? BlockManager::Stream::Hot
@@ -146,9 +145,8 @@ Ftl::hostWrite(Lpn lpn, std::span<const std::byte> data, DoneCallback done,
         cache_.invalidate(lpn);
         if (layout_)
             layout_->onDataInvalidated(lpn);
-        flash_.writePage(ppn, *payload,
-                         [this, lpn, ppn, payload,
-                          done = std::move(done)]() {
+        flash_.writePage(ppn, cmd.payload,
+                         [this, lpn, ppn, op]() {
                              // A newer write to the same LPN may have
                              // remapped it during this program; caching
                              // or hot-tier-pinning the superseded PPN
@@ -159,11 +157,12 @@ Ftl::hostWrite(Lpn lpn, std::span<const std::byte> data, DoneCallback done,
                                  if (layout_)
                                      layout_->onRewrite(lpn, ppn);
                              }
-                             if (done)
-                                 done();
+                             WriteCmd done_cmd = writeCmds_.take(op);
+                             if (done_cmd.done)
+                                 done_cmd.done();
                              maybeStartGc();
                          },
-                         trace_id);
+                         cmd.traceId);
     });
 }
 
@@ -172,9 +171,11 @@ Ftl::hostTrim(Lpn lpn, DoneCallback done, std::uint64_t trace_id)
 {
     hostTrims_.inc();
     SpanId span = beginCpuSpan(eq_, cpuTrackName_, "trim_cmd", trace_id);
-    cpu_.acquire(params_.trimCmdCpu, [this, lpn, span,
-                                      done = std::move(done)]() {
-        endSpan(eq_, span);
+    std::uint32_t op =
+        writeCmds_.put(WriteCmd{std::move(done), {}, span, trace_id});
+    cpu_.acquire(params_.trimCmdCpu, [this, lpn, op]() {
+        WriteCmd cmd = writeCmds_.take(op);
+        endSpan(eq_, cmd.span);
         // Only overlay mappings can be dropped; a region page with no
         // overlay simply has nothing to deallocate.
         Ppn old = map_.lookup(lpn);
@@ -192,8 +193,8 @@ Ftl::hostTrim(Lpn lpn, DoneCallback done, std::uint64_t trace_id)
         cache_.invalidate(lpn);
         if (layout_)
             layout_->onDataInvalidated(lpn);
-        if (done)
-            done();
+        if (cmd.done)
+            cmd.done();
         maybeStartGc();
     });
 }

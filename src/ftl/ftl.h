@@ -20,9 +20,11 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/analysis.h"
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/resource.h"
 #include "src/common/stats.h"
 #include "src/flash/flash_array.h"
@@ -38,8 +40,8 @@ namespace recssd
 class Ftl
 {
   public:
-    using ReadDone = std::function<void(const PageView &)>;
-    using DoneCallback = std::function<void()>;
+    using ReadDone = FlashArray::ReadCallback;
+    using DoneCallback = EventQueue::Callback;
 
     /** `track_prefix` namespaces the firmware/GC trace tracks (multi-
      *  SSD systems pass "ssd<d>." so device spans stay separable). */
@@ -135,9 +137,7 @@ class Ftl
      * sit at epoch 0 and pay only a hash miss here.
      */
     std::uint64_t writeEpochOf(Lpn lpn) const RECSSD_LIVE_LOOKUP
-        RECSSD_EXCLUDES(epochMutex_)
     {
-        SimLockGuard hold(epochMutex_);
         auto it = writeEpochs_.find(lpn);
         return it == writeEpochs_.end() ? 0 : it->second;
     }
@@ -169,11 +169,26 @@ class Ftl
   private:
     /** Bump a page's remap epoch (the write/GC/migration side of the
      *  fence read by writeEpochOf). */
-    void bumpWriteEpoch(Lpn lpn) RECSSD_EXCLUDES(epochMutex_)
+    void bumpWriteEpoch(Lpn lpn) { ++writeEpochs_[lpn]; }
+
+    /** In-flight host read command (firmware CPU, then maybe flash). */
+    struct ReadCmd
     {
-        SimLockGuard hold(epochMutex_);
-        ++writeEpochs_[lpn];
-    }
+        ReadDone done;
+        SpanId span = invalidSpan;
+        std::uint64_t traceId = 0;
+    };
+
+    /** In-flight host write or trim command. */
+    struct WriteCmd
+    {
+        DoneCallback done;
+        /** Write payload, copied at submission: the caller's buffer
+         *  may not outlive the simulated DMA. Empty for trims. */
+        std::vector<std::byte> payload;
+        SpanId span = invalidSpan;
+        std::uint64_t traceId = 0;
+    };
 
     /** Kick garbage collection if watermarks demand it. */
     void maybeStartGc();
@@ -208,16 +223,10 @@ class Ftl
     std::string layoutTrackName_;
     SerialResource cpu_;
     std::function<void(Lpn)> writeObserver_;
-    /**
-     * Pre-declared parallel-DES capability: the epoch fence is read by
-     * the NDP engine at gather-consume time and bumped by the write/GC
-     * path — the one FTL structure two logical processes will touch.
-     * Zero-cost today (see src/common/analysis.h).
-     */
-    mutable SimMutex epochMutex_;
     /** Per-LPN remap epochs (point lookups only — see writeEpochOf). */
-    std::unordered_map<Lpn, std::uint64_t> writeEpochs_
-        RECSSD_GUARDED_BY(epochMutex_);
+    std::unordered_map<Lpn, std::uint64_t> writeEpochs_;
+    RecordPool<ReadCmd> readCmds_;
+    RecordPool<WriteCmd> writeCmds_;  ///< writes and trims
     std::unique_ptr<LayoutManager> layout_;  ///< null under Log policy
     bool gcActive_ = false;
     bool migrActive_ = false;  ///< a hot-cluster migration is in flight

@@ -26,7 +26,7 @@ class HostCpu
     unsigned cores() const { return cores_.servers(); }
 
     /** Run `work` ticks on the earliest-free core. */
-    Tick run(Tick work, EventQueue::Callback done)
+    Tick run(Tick work, EventQueue::Callback &&done)
     {
         return cores_.acquire(work, std::move(done));
     }

@@ -82,12 +82,20 @@ SlsEngine::admit(const NvmeCommand &cmd, std::function<void()> done)
     recssd_assert(!entries_.contains(entry->key),
                   "duplicate in-flight SLS request id");
     entries_.emplace(entry->key, entry);
-    rrOrder_.push_back(entry->key);
+    rrOrder_.pushBack(entry);
 
     // The config write completes as soon as the entry is allocated;
     // processing continues asynchronously (Fig 7).
     done();
     processConfig(entry);
+}
+
+std::span<std::byte>
+SlsEngine::gatherScratch(std::size_t bytes)
+{
+    if (gatherBuf_.size() < bytes)
+        gatherBuf_.resize(bytes);
+    return {gatherBuf_.data(), bytes};
 }
 
 void
@@ -114,13 +122,13 @@ SlsEngine::processConfig(const EntryPtr &entry)
         if (Tracer *tracer = tracerOf(eq_))
             tracer->end(scan_span);
         const SlsConfig &cfg = entry->cfg;
-        std::vector<std::byte> vec_buf(cfg.vectorBytes());
+        std::span<std::byte> vec_buf = gatherScratch(cfg.vectorBytes());
         std::uint64_t cache_hits = 0;
 
         // One scan over the (sorted) pair list: group by flash page,
         // diverting embedding-cache hits to the fast path (step 2a).
+        entry->pairIdx.reserve(cfg.pairs.size());
         PageWork current;
-        current.lpn = invalidLpn;
         for (std::uint32_t i = 0; i < cfg.pairs.size(); ++i) {
             const SlsPair &pair = cfg.pairs[i];
             if (cache_ && cache_->lookup(entry->tableBase, pair.inputId,
@@ -135,23 +143,29 @@ SlsEngine::processConfig(const EntryPtr &entry)
             Lpn lpn = lpnOf(*entry, pair.inputId);
             if (lpn != current.lpn) {
                 if (current.lpn != invalidLpn)
-                    entry->pages.push_back(std::move(current));
-                current = PageWork{lpn, {}};
+                    entry->pages.push_back(current);
+                current = PageWork{
+                    lpn, static_cast<std::uint32_t>(entry->pairIdx.size()),
+                    0, 0};
             }
-            current.pairIdx.push_back(i);
+            entry->pairIdx.push_back(i);
+            ++current.count;
         }
         if (current.lpn != invalidLpn)
-            entry->pages.push_back(std::move(current));
+            entry->pages.push_back(current);
 
         entry->pagesOutstanding =
             static_cast<std::uint32_t>(entry->pages.size());
 
-        auto finish = [this, entry]() {
-            entry->configured = true;
-            entry->timing.configProcessed = eq_.now();
-            if (entry->pagesOutstanding == 0) {
-                entry->timing.flashDone = eq_.now();
-                maybeComplete(entry);
+        // The entry cannot retire before it is configured, so the raw
+        // pointer outlives the cache-hit accumulation.
+        Entry *scanned = entry.get();
+        auto finish = [this, scanned]() {
+            scanned->configured = true;
+            scanned->timing.configProcessed = eq_.now();
+            if (scanned->pagesOutstanding == 0) {
+                scanned->timing.flashDone = eq_.now();
+                maybeComplete(*scanned);
             } else {
                 pump();
             }
@@ -167,6 +181,34 @@ SlsEngine::processConfig(const EntryPtr &entry)
 }
 
 void
+SlsEngine::IssueRing::pushBack(EntryPtr entry)
+{
+    // The back of the rotation sits just before the front.
+    ring_.insert(ring_.begin() + static_cast<std::ptrdiff_t>(head_),
+                 std::move(entry));
+    head_ = (head_ + 1) % ring_.size();
+}
+
+SlsEngine::Entry &
+SlsEngine::IssueRing::rotate()
+{
+    Entry &front = *ring_[head_];
+    head_ = (head_ + 1) % ring_.size();
+    return front;
+}
+
+void
+SlsEngine::IssueRing::dropBack()
+{
+    std::size_t back = (head_ + ring_.size() - 1) % ring_.size();
+    ring_.erase(ring_.begin() + static_cast<std::ptrdiff_t>(back));
+    if (back < head_)
+        --head_;
+    if (head_ == ring_.size())
+        head_ = 0;
+}
+
+void
 SlsEngine::pump()
 {
     // Feed individual page requests from the in-flight SLS entries
@@ -175,25 +217,21 @@ SlsEngine::pump()
     std::size_t entries_with_work = rrOrder_.size();
     while (outstandingFlash_ < params_.maxOutstandingFlash &&
            entries_with_work > 0) {
-        std::uint64_t key = rrOrder_.front();
-        rrOrder_.pop_front();
-        rrOrder_.push_back(key);
-        auto it = entries_.find(key);
-        if (it == entries_.end()) {
+        Entry &entry = rrOrder_.rotate();
+        if (entry.retired) {
             // Entry completed and was deallocated; drop it from the
-            // rotation.
-            rrOrder_.pop_back();
+            // rotation (the ring held its last reference).
+            rrOrder_.dropBack();
             entries_with_work = rrOrder_.size();
             continue;
         }
-        EntryPtr entry = it->second;
-        if (!entry->configured || entry->nextPage >= entry->pages.size()) {
+        if (!entry.configured || entry.nextPage >= entry.pages.size()) {
             --entries_with_work;
             continue;
         }
         entries_with_work = rrOrder_.size();
 
-        PageWork work = entry->pages[entry->nextPage++];
+        PageWork work = entry.pages[entry.nextPage++];
         // Snapshot the page's remap epoch at PPN-resolution time. All
         // three resolution paths below (hot tier, page cache, flash
         // read) defer the functional gather to a later firmware-core
@@ -205,16 +243,13 @@ SlsEngine::pump()
             // host reads — embedding gathers are what make rows hot.
             // The gather coalesces every row wanted from this page
             // into one flash read, so weight the access by row count.
-            layout->onAccess(
-                work.lpn,
-                static_cast<std::uint32_t>(work.pairIdx.size()));
+            layout->onAccess(work.lpn, work.count);
             Ppn pinned;
             if (layout->tier().lookup(work.lpn, pinned)) {
                 // Served from the hot-row DRAM tier; counted apart
                 // from page-cache hits (disjoint accounting).
                 hotTierHits_.inc();
-                PageView view(ftl_.flash().store(), pinned);
-                translate(entry, std::move(work), &view);
+                translate(entry, work, pinned);
                 continue;
             }
         }
@@ -229,8 +264,7 @@ SlsEngine::pump()
                 if (layout->isHot(work.lpn))
                     layout->pinFromRead(work.lpn, cached);
             }
-            PageView view(ftl_.flash().store(), cached);
-            translate(entry, std::move(work), &view);
+            translate(entry, work, cached);
             continue;
         }
         Ppn ppn = ftl_.translate(work.lpn);
@@ -238,10 +272,12 @@ SlsEngine::pump()
                       "SLS request touches an unmapped page");
         ++outstandingFlash_;
         flashPages_.inc();
+        // The entry cannot retire while this page is outstanding, so
+        // the raw pointer outlives the read.
+        Entry *reader = &entry;
         ftl_.readPhysical(
             ppn,
-            [this, entry, ppn, work = std::move(work)](
-                const PageView &view) mutable {
+            [this, reader, ppn, work](const PageView &view) {
                 --outstandingFlash_;
                 if (LayoutManager *layout = ftl_.layout()) {
                     // Free DRAM pin for a hot page: its bytes are in
@@ -252,91 +288,97 @@ SlsEngine::pump()
                         ftl_.translate(work.lpn) == ppn)
                         layout->pinFromRead(work.lpn, ppn);
                 }
-                translate(entry, std::move(work), &view);
+                translate(*reader, work, view.ppn());
                 pump();
             },
-            entry->traceId);
+            entry.traceId);
     }
 }
 
 void
-SlsEngine::translate(const EntryPtr &entry, PageWork work,
-                     const PageView *view)
+SlsEngine::translate(Entry &entry, const PageWork &work, Ppn ppn)
 {
-    const SlsConfig &cfg = entry->cfg;
     std::uint64_t gathered =
-        std::uint64_t(work.pairIdx.size()) * cfg.vectorBytes();
+        std::uint64_t(work.count) * entry.cfg.vectorBytes();
     Tick cost = params_.translateBaseCpu +
                 params_.translatePerByteCpu * gathered;
-    entry->timing.translateBusy += cost;
+    entry.timing.translateBusy += cost;
 
     // Functional extract + reduce happens when the firmware core gets
-    // to it; capture the page identity now (the view is only valid
-    // for the duration of this callback, so re-create it from the
-    // store + PPN which stay stable).
-    PageView page = *view;
-    SpanId xlate_span = invalidSpan;
+    // to it; the record keeps the page identity (store + PPN, which
+    // stay stable) until then.
+    Translation xlate;
+    xlate.entry = &entry;
+    xlate.work = work;
+    xlate.ppn = ppn;
     if (Tracer *tracer = tracerOf(eq_)) {
-        xlate_span = tracer->begin(tracer->track(trackName_), "translate",
-                                   Phase::NdpTranslate, entry->traceId);
+        xlate.span = tracer->begin(tracer->track(trackName_), "translate",
+                                   Phase::NdpTranslate, entry.traceId);
     }
-    Tick xlate_enq = eq_.now();
-    Tick xlate_start = std::max(xlate_enq, ftl_.cpu().freeAt());
-    ftl_.cpu().acquire(cost, [this, entry, work = std::move(work), page,
-                              xlate_span, xlate_enq, xlate_start]() mutable {
-        if (UtilizationCollector *util = eq_.util())
-            util->record(trackName_, xlate_enq, xlate_start, eq_.now());
-        if (Tracer *tracer = tracerOf(eq_))
-            tracer->end(xlate_span);
-        if (!params_.disableWriteFence &&
-            ftl_.writeEpochOf(work.lpn) != work.epoch) {
-            // Read-after-write fence: the logical page was remapped
-            // (host rewrite, trim, GC or migration move) between PPN
-            // resolution and this consume. The stale PPN's bytes may
-            // already be erased; re-point the view at the live mapping
-            // so the gather sums the old-or-new row, never a torn one.
-            // Content at a fixed PPN only ever changes via block erase
-            // (writes go to fresh PPNs), so the re-resolved view is
-            // consistent.
-            fenceRedirects_.inc();
-            page = PageView(ftl_.flash().store(), ftl_.translate(work.lpn));
-        }
-        if (audit_) {
-            // Torn-sum invariant: consuming a PPN that is no longer
-            // the live mapping is only sound while its bytes are
-            // intact (the gather then sums the valid *old* row). If
-            // the stale page's content is gone (GC erased its block)
-            // the sum would be zeros — neither old nor new.
-            Ppn live = ftl_.translate(work.lpn);
-            recssd_assert(
-                page.ppn() == live || live == invalidPpn ||
-                    ftl_.flash().store().covered(page.ppn()),
-                "torn SLS gather: LPN %llu consumed erased PPN %llu "
-                "(live mapping %llu)",
-                static_cast<unsigned long long>(work.lpn),
-                static_cast<unsigned long long>(page.ppn()),
-                static_cast<unsigned long long>(live));
-        }
-        const SlsConfig &cfg = entry->cfg;
-        std::vector<std::byte> vec_buf(cfg.vectorBytes());
-        for (std::uint32_t idx : work.pairIdx) {
-            const SlsPair &pair = cfg.pairs[idx];
-            page.copyOut(pageOffsetOf(*entry, pair.inputId), vec_buf);
-            float *res = entry->results.data() +
-                         std::size_t(pair.resultId) * cfg.featureDim;
-            for (std::uint32_t e = 0; e < cfg.featureDim; ++e)
-                res[e] += decodeAttr(vec_buf, e, cfg.attrBytes);
-            if (cache_)
-                cache_->insert(entry->tableBase, pair.inputId, vec_buf);
-        }
-        recssd_assert(entry->pagesOutstanding > 0,
-                      "translation without outstanding pages");
-        if (--entry->pagesOutstanding == 0 &&
-            entry->nextPage >= entry->pages.size()) {
-            entry->timing.flashDone = eq_.now();
-            maybeComplete(entry);
-        }
-    });
+    xlate.enqueued = eq_.now();
+    xlate.started = std::max(xlate.enqueued, ftl_.cpu().freeAt());
+    std::uint32_t op = translations_.put(xlate);
+    ftl_.cpu().acquire(cost, [this, op]() { finishTranslate(op); });
+}
+
+void
+SlsEngine::finishTranslate(std::uint32_t op)
+{
+    Translation xlate = translations_.take(op);
+    Entry &entry = *xlate.entry;
+    const PageWork &work = xlate.work;
+    if (UtilizationCollector *util = eq_.util())
+        util->record(trackName_, xlate.enqueued, xlate.started, eq_.now());
+    if (Tracer *tracer = tracerOf(eq_))
+        tracer->end(xlate.span);
+    PageView page(ftl_.flash().store(), xlate.ppn);
+    if (!params_.disableWriteFence &&
+        ftl_.writeEpochOf(work.lpn) != work.epoch) {
+        // Read-after-write fence: the logical page was remapped (host
+        // rewrite, trim, GC or migration move) between PPN resolution
+        // and this consume. The stale PPN's bytes may already be
+        // erased; re-point the view at the live mapping so the gather
+        // sums the old-or-new row, never a torn one. Content at a
+        // fixed PPN only ever changes via block erase (writes go to
+        // fresh PPNs), so the re-resolved view is consistent.
+        fenceRedirects_.inc();
+        page = PageView(ftl_.flash().store(), ftl_.translate(work.lpn));
+    }
+    if (audit_) {
+        // Torn-sum invariant: consuming a PPN that is no longer the
+        // live mapping is only sound while its bytes are intact (the
+        // gather then sums the valid *old* row). If the stale page's
+        // content is gone (GC erased its block) the sum would be
+        // zeros — neither old nor new.
+        Ppn live = ftl_.translate(work.lpn);
+        recssd_assert(
+            page.ppn() == live || live == invalidPpn ||
+                ftl_.flash().store().covered(page.ppn()),
+            "torn SLS gather: LPN %llu consumed erased PPN %llu "
+            "(live mapping %llu)",
+            static_cast<unsigned long long>(work.lpn),
+            static_cast<unsigned long long>(page.ppn()),
+            static_cast<unsigned long long>(live));
+    }
+    const SlsConfig &cfg = entry.cfg;
+    std::span<std::byte> vec_buf = gatherScratch(cfg.vectorBytes());
+    for (std::uint32_t k = work.first; k < work.first + work.count; ++k) {
+        const SlsPair &pair = cfg.pairs[entry.pairIdx[k]];
+        page.copyOut(pageOffsetOf(entry, pair.inputId), vec_buf);
+        float *res = entry.results.data() +
+                     std::size_t(pair.resultId) * cfg.featureDim;
+        for (std::uint32_t e = 0; e < cfg.featureDim; ++e)
+            res[e] += decodeAttr(vec_buf, e, cfg.attrBytes);
+        if (cache_)
+            cache_->insert(entry.tableBase, pair.inputId, vec_buf);
+    }
+    recssd_assert(entry.pagesOutstanding > 0,
+                  "translation without outstanding pages");
+    if (--entry.pagesOutstanding == 0 &&
+        entry.nextPage >= entry.pages.size()) {
+        entry.timing.flashDone = eq_.now();
+        maybeComplete(entry);
+    }
 }
 
 std::shared_ptr<std::vector<std::byte>>
@@ -355,22 +397,27 @@ SlsEngine::packResults(const Entry &entry)
 }
 
 void
-SlsEngine::maybeComplete(const EntryPtr &entry)
+SlsEngine::maybeComplete(Entry &entry)
 {
-    if (!entry->configured || entry->pagesOutstanding != 0 ||
-        entry->nextPage < entry->pages.size()) {
+    if (!entry.configured || entry.pagesOutstanding != 0 ||
+        entry.nextPage < entry.pages.size()) {
         return;
     }
-    if (!entry->readDone)
+    if (!entry.readDone)
         return;  // waiting for the host's result-read command
 
-    auto done = std::move(entry->readDone);
-    entry->readDone = nullptr;
-    auto bytes = packResults(*entry);
+    auto done = std::move(entry.readDone);
+    entry.readDone = nullptr;
+    auto bytes = packResults(entry);
 
-    entry->timing.resultSent = eq_.now();
-    lastTiming_ = entry->timing;
-    entries_.erase(entry->key);
+    entry.timing.resultSent = eq_.now();
+    lastTiming_ = entry.timing;
+    // Deallocate the buffer entry. The ring may hold the last other
+    // reference, so keep this one until the entry is no longer used.
+    auto it = entries_.find(entry.key);
+    EntryPtr owner = std::move(it->second);
+    entries_.erase(it);
+    owner->retired = true;
 
     // Admit a waiting config now that a buffer entry freed up.
     if (!waiting_.empty()) {
@@ -390,10 +437,10 @@ SlsEngine::resultRead(
     auto it = entries_.find(cmd.slba);
     recssd_assert(it != entries_.end(),
                   "result read for unknown SLS request id");
-    EntryPtr entry = it->second;
-    recssd_assert(!entry->readDone,
+    Entry &entry = *it->second;
+    recssd_assert(!entry.readDone,
                   "duplicate result read for SLS request");
-    entry->readDone = std::move(done);
+    entry.readDone = std::move(done);
     maybeComplete(entry);
 }
 

@@ -21,11 +21,13 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/stats.h"
 #include "src/ftl/ftl.h"
 #include "src/ndp/embedding_cache.h"
@@ -137,8 +139,10 @@ class SlsEngine : public SlsHandler
     /** Work for one flash page: which pairs gather from it. */
     struct PageWork
     {
-        Lpn lpn;
-        std::vector<std::uint32_t> pairIdx;
+        Lpn lpn = invalidLpn;
+        /** The page's pairs are Entry::pairIdx[first, first+count). */
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
         /** The page's FTL remap epoch when its PPN was resolved; a
          *  mismatch at consume time means the mapping moved and the
          *  captured PPN may hold erased bytes (see translate). */
@@ -154,9 +158,14 @@ class SlsEngine : public SlsHandler
         SlsConfig cfg;            ///< element 1: input config
         /* element 2: status */
         bool configured = false;
+        /** Completed and deallocated; the issue ring drops it when
+         *  its rotation next reaches it. */
+        bool retired = false;
         std::uint32_t pagesOutstanding = 0;
         /* element 3: pending flash page requests */
         std::vector<PageWork> pages;
+        /** Pair indices of all pages, grouped page by page. */
+        std::vector<std::uint32_t> pairIdx;
         std::size_t nextPage = 0;
         /* element 4: pending host page request */
         std::function<void(std::shared_ptr<std::vector<std::byte>>)>
@@ -169,6 +178,42 @@ class SlsEngine : public SlsHandler
 
     using EntryPtr = std::shared_ptr<Entry>;
 
+    /**
+     * Round-robin issue order over the in-flight entries (§4.1). A
+     * vector rotated through a head index, so a rotation step neither
+     * allocates nor looks anything up.
+     */
+    class IssueRing
+    {
+      public:
+        std::size_t size() const { return ring_.size(); }
+
+        /** Append at the back of the rotation. */
+        void pushBack(EntryPtr entry);
+
+        /** Move the front entry to the back; @return it. */
+        Entry &rotate();
+
+        /** Remove the entry the last rotate() moved to the back. */
+        void dropBack();
+
+      private:
+        std::vector<EntryPtr> ring_;
+        std::size_t head_ = 0;  ///< index of the front entry
+    };
+
+    /** A page waiting for (then running on) the firmware core's
+     *  Translation step. */
+    struct Translation
+    {
+        Entry *entry = nullptr;
+        PageWork work;
+        Ppn ppn = invalidPpn;
+        SpanId span = invalidSpan;
+        Tick enqueued = 0;  ///< utilization view: enqueue tick
+        Tick started = 0;   ///< utilization view: service start
+    };
+
     /** Admit a config into the request buffer (or the wait queue). */
     void admit(const NvmeCommand &cmd, std::function<void()> done);
 
@@ -178,12 +223,17 @@ class SlsEngine : public SlsHandler
     /** Round-robin page issue across in-flight entries (step 3a). */
     void pump();
 
-    /** Translation for one completed page (steps 4-5). */
-    void translate(const EntryPtr &entry, PageWork work,
-                   const PageView *view);
+    /** Translation for one page resolved to `ppn` (steps 4-5). */
+    void translate(Entry &entry, const PageWork &work, Ppn ppn);
+
+    /** The Translation step's body, once the firmware core runs it. */
+    void finishTranslate(std::uint32_t op);
 
     /** Mark done, satisfy a waiting result read (step 6). */
-    void maybeComplete(const EntryPtr &entry);
+    void maybeComplete(Entry &entry);
+
+    /** Gather scratch of `bytes` bytes, reused across pages. */
+    std::span<std::byte> gatherScratch(std::size_t bytes);
 
     /** Pack the scratchpad into page-aligned result bytes. */
     std::shared_ptr<std::vector<std::byte>> packResults(const Entry &entry);
@@ -201,7 +251,9 @@ class SlsEngine : public SlsHandler
     std::unordered_map<std::uint64_t, std::uint32_t> tableLayout_;
 
     std::unordered_map<std::uint64_t, EntryPtr> entries_;
-    std::deque<std::uint64_t> rrOrder_;  ///< round-robin issue order
+    IssueRing rrOrder_;
+    RecordPool<Translation> translations_;
+    std::vector<std::byte> gatherBuf_;
     std::deque<std::pair<NvmeCommand, std::function<void()>>> waiting_;
     unsigned outstandingFlash_ = 0;
 

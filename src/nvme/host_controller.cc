@@ -6,24 +6,6 @@
 namespace recssd
 {
 
-namespace
-{
-
-/** Wrap a callback so it closes `span` just before running. */
-EventQueue::Callback
-closing(EventQueue &eq, SpanId span, EventQueue::Callback then)
-{
-    if (span == invalidSpan)
-        return then;
-    return [&eq, span, then = std::move(then)]() {
-        if (Tracer *tracer = tracerOf(eq))
-            tracer->end(span);
-        then();
-    };
-}
-
-}  // namespace
-
 HostController::HostController(EventQueue &eq, const NvmeParams &params,
                                PcieLink &pcie, Ftl &ftl,
                                const std::string &track_prefix)
@@ -33,52 +15,64 @@ HostController::HostController(EventQueue &eq, const NvmeParams &params,
 }
 
 void
-HostController::fetchCommand(std::uint64_t trace_id,
-                             EventQueue::Callback then)
+HostController::fetchCommand(std::uint32_t op, Step next)
 {
     if (dead_) {
         // The drive fell off the bus: the SQ doorbell rings into the
         // void and the command chain is dropped on the floor.
         dropped_.inc();
+        inflight_.release(op);
         return;
     }
     commands_.inc();
     pcie_.transfer(
         params_.sqeBytes,
-        [this, trace_id, then = std::move(then)]() {
-            SpanId span = invalidSpan;
+        [this, op, next]() {
+            Command &cmd = inflight_[op];
             if (Tracer *tracer = tracerOf(eq_)) {
-                span = tracer->begin(tracer->track(trackName_),
-                                     "cmd_process", Phase::NvmeXfer,
-                                     trace_id);
+                cmd.span = tracer->begin(tracer->track(trackName_),
+                                         "cmd_process", Phase::NvmeXfer,
+                                         cmd.traceId);
             }
-            ctrl_.acquire(params_.cmdProcessCost,
-                          closing(eq_, span, std::move(then)));
+            ctrl_.acquire(params_.cmdProcessCost, [this, op, next]() {
+                Command &cmd = inflight_[op];
+                if (cmd.span != invalidSpan) {
+                    if (Tracer *tracer = tracerOf(eq_))
+                        tracer->end(cmd.span);
+                    cmd.span = invalidSpan;
+                }
+                (this->*next)(op);
+            });
         },
-        trace_id);
+        inflight_[op].traceId);
 }
 
 void
-HostController::postCompletion(std::uint64_t trace_id,
-                               EventQueue::Callback then)
+HostController::postCompletion(std::uint32_t op, Step next)
 {
     if (dead_) {
         // In-flight command whose device died mid-chain: the host
         // never sees a CQE.
         dropped_.inc();
+        inflight_.release(op);
         return;
     }
-    SpanId span = invalidSpan;
+    Command &cmd = inflight_[op];
     if (Tracer *tracer = tracerOf(eq_)) {
-        span = tracer->begin(tracer->track(trackName_), "cqe_post",
-                             Phase::NvmeXfer, trace_id);
+        cmd.span = tracer->begin(tracer->track(trackName_), "cqe_post",
+                                 Phase::NvmeXfer, cmd.traceId);
     }
-    ctrl_.acquire(params_.completionPostCost,
-                  closing(eq_, span, [this, trace_id,
-                                      then = std::move(then)]() {
-                      pcie_.transfer(params_.cqeBytes, std::move(then),
-                                     trace_id);
-                  }));
+    ctrl_.acquire(params_.completionPostCost, [this, op, next]() {
+        Command &cmd = inflight_[op];
+        if (cmd.span != invalidSpan) {
+            if (Tracer *tracer = tracerOf(eq_))
+                tracer->end(cmd.span);
+            cmd.span = invalidSpan;
+        }
+        pcie_.transfer(
+            params_.cqeBytes, [this, op, next]() { (this->*next)(op); },
+            cmd.traceId);
+    });
 }
 
 void
@@ -86,25 +80,39 @@ HostController::submitRead(const NvmeCommand &cmd, ReadDone done)
 {
     recssd_assert(!cmd.slsFlag, "use submitSlsRead for SLS commands");
     recssd_assert(cmd.nlb == 1, "data path reads one page per command");
-    Lpn lpn = cmd.slba;
-    std::uint64_t tid = cmd.traceId;
-    fetchCommand(tid, [this, lpn, tid, done = std::move(done)]() {
-        ftl_.hostRead(
-            lpn,
-            [this, tid, done = std::move(done)](const PageView &view) {
-                // Page data DMA to host, then the completion entry.
-                pcie_.transfer(
-                    ftl_.flash().params().pageSize,
-                    [this, tid, view, done = std::move(done)]() {
-                        postCompletion(tid, [view,
-                                             done = std::move(done)]() {
-                            done(view);
-                        });
-                    },
-                    tid);
-            },
-            tid);
-    });
+    Command rec;
+    rec.traceId = cmd.traceId;
+    rec.lpn = cmd.slba;
+    rec.readDone = std::move(done);
+    fetchCommand(inflight_.put(std::move(rec)),
+                 &HostController::readExecute);
+}
+
+void
+HostController::readExecute(std::uint32_t op)
+{
+    const Command &cmd = inflight_[op];
+    ftl_.hostRead(
+        cmd.lpn,
+        [this, op](const PageView &view) {
+            // Page data DMA to host, then the completion entry.
+            Command &cmd = inflight_[op];
+            cmd.view = view;
+            pcie_.transfer(
+                ftl_.flash().params().pageSize,
+                [this, op]() {
+                    postCompletion(op, &HostController::readComplete);
+                },
+                cmd.traceId);
+        },
+        cmd.traceId);
+}
+
+void
+HostController::readComplete(std::uint32_t op)
+{
+    Command cmd = inflight_.take(op);
+    cmd.readDone(cmd.view);
 }
 
 void
@@ -113,39 +121,61 @@ HostController::submitWrite(const NvmeCommand &cmd, WriteDone done)
     recssd_assert(!cmd.slsFlag, "use submitSlsConfig for SLS commands");
     recssd_assert(cmd.nlb == 1, "data path writes one page per command");
     recssd_assert(cmd.payload != nullptr, "write without payload");
-    Lpn lpn = cmd.slba;
-    std::uint64_t tid = cmd.traceId;
-    auto payload = cmd.payload;
-    fetchCommand(tid, [this, lpn, tid, payload, done = std::move(done)]() {
-        // Pull the data from host memory before programming.
-        pcie_.transfer(
-            ftl_.flash().params().pageSize,
-            [this, lpn, tid, payload, done = std::move(done)]() {
-                ftl_.hostWrite(
-                    lpn, *payload,
-                    [this, tid, done = std::move(done)]() {
-                        postCompletion(tid, std::move(done));
-                    },
-                    tid);
-            },
-            tid);
-    });
+    Command rec;
+    rec.traceId = cmd.traceId;
+    rec.lpn = cmd.slba;
+    rec.data = cmd.payload;
+    rec.writeDone = std::move(done);
+    fetchCommand(inflight_.put(std::move(rec)),
+                 &HostController::writeExecute);
+}
+
+void
+HostController::writeExecute(std::uint32_t op)
+{
+    // Pull the data from host memory before programming.
+    pcie_.transfer(
+        ftl_.flash().params().pageSize,
+        [this, op]() {
+            const Command &cmd = inflight_[op];
+            ftl_.hostWrite(
+                cmd.lpn, *cmd.data,
+                [this, op]() {
+                    postCompletion(op, &HostController::writeComplete);
+                },
+                cmd.traceId);
+        },
+        inflight_[op].traceId);
+}
+
+void
+HostController::writeComplete(std::uint32_t op)
+{
+    Command cmd = inflight_.take(op);
+    if (cmd.writeDone)
+        cmd.writeDone();
 }
 
 void
 HostController::submitTrim(const NvmeCommand &cmd, WriteDone done)
 {
     recssd_assert(cmd.opcode == NvmeOpcode::Dsm, "submitTrim needs DSM");
-    Lpn lpn = cmd.slba;
-    std::uint64_t tid = cmd.traceId;
-    fetchCommand(tid, [this, lpn, tid, done = std::move(done)]() {
-        ftl_.hostTrim(
-            lpn,
-            [this, tid, done = std::move(done)]() {
-                postCompletion(tid, std::move(done));
-            },
-            tid);
-    });
+    Command rec;
+    rec.traceId = cmd.traceId;
+    rec.lpn = cmd.slba;
+    rec.writeDone = std::move(done);
+    fetchCommand(inflight_.put(std::move(rec)),
+                 &HostController::trimExecute);
+}
+
+void
+HostController::trimExecute(std::uint32_t op)
+{
+    const Command &cmd = inflight_[op];
+    ftl_.hostTrim(
+        cmd.lpn,
+        [this, op]() { postCompletion(op, &HostController::writeComplete); },
+        cmd.traceId);
 }
 
 void
@@ -154,20 +184,28 @@ HostController::submitSlsConfig(const NvmeCommand &cmd, WriteDone done)
     recssd_assert(cmd.slsFlag, "submitSlsConfig requires the SLS flag");
     recssd_assert(sls_ != nullptr, "no SLS handler registered");
     recssd_assert(cmd.payload != nullptr, "SLS config without payload");
-    NvmeCommand copy = cmd;
-    copy.submitTick = eq_.now();
-    fetchCommand(copy.traceId, [this, copy, done = std::move(done)]() {
-        // Step 1a (Fig 7): DMA the configuration data from the host.
-        pcie_.transfer(
-            copy.payload->size(),
-            [this, copy, done = std::move(done)]() {
-                sls_->configWrite(copy, [this, tid = copy.traceId,
-                                         done = std::move(done)]() {
-                    postCompletion(tid, std::move(done));
-                });
-            },
-            copy.traceId);
-    });
+    Command rec;
+    rec.traceId = cmd.traceId;
+    rec.sls = cmd;
+    rec.sls.submitTick = eq_.now();
+    rec.writeDone = std::move(done);
+    fetchCommand(inflight_.put(std::move(rec)),
+                 &HostController::slsConfigExecute);
+}
+
+void
+HostController::slsConfigExecute(std::uint32_t op)
+{
+    // Step 1a (Fig 7): DMA the configuration data from the host.
+    const Command &cmd = inflight_[op];
+    pcie_.transfer(
+        cmd.sls.payload->size(),
+        [this, op]() {
+            sls_->configWrite(inflight_[op].sls, [this, op]() {
+                postCompletion(op, &HostController::writeComplete);
+            });
+        },
+        cmd.traceId);
 }
 
 void
@@ -175,26 +213,40 @@ HostController::submitSlsRead(const NvmeCommand &cmd, SlsReadDone done)
 {
     recssd_assert(cmd.slsFlag, "submitSlsRead requires the SLS flag");
     recssd_assert(sls_ != nullptr, "no SLS handler registered");
-    NvmeCommand copy = cmd;
-    fetchCommand(copy.traceId, [this, copy, done = std::move(done)]() {
-        // Step 1b (Fig 7): register the host page request; the engine
-        // calls back with packed result bytes when ready, which we
-        // then DMA to the host.
-        sls_->resultRead(
-            copy,
-            [this, tid = copy.traceId, done = std::move(done)](
-                std::shared_ptr<std::vector<std::byte>> data) {
-                pcie_.transfer(
-                    data->size(),
-                    [this, tid, data, done = std::move(done)]() {
-                        postCompletion(tid,
-                                       [data, done = std::move(done)]() {
-                                           done(data);
-                                       });
-                    },
-                    tid, Phase::ResultDma);
-            });
-    });
+    Command rec;
+    rec.traceId = cmd.traceId;
+    rec.sls = cmd;
+    rec.slsDone = std::move(done);
+    fetchCommand(inflight_.put(std::move(rec)),
+                 &HostController::slsReadExecute);
+}
+
+void
+HostController::slsReadExecute(std::uint32_t op)
+{
+    // Step 1b (Fig 7): register the host page request; the engine
+    // calls back with packed result bytes when ready, which we then
+    // DMA to the host.
+    sls_->resultRead(
+        inflight_[op].sls,
+        [this, op](std::shared_ptr<std::vector<std::byte>> data) {
+            Command &cmd = inflight_[op];
+            std::uint64_t bytes = data->size();
+            cmd.data = std::move(data);
+            pcie_.transfer(
+                bytes,
+                [this, op]() {
+                    postCompletion(op, &HostController::slsReadComplete);
+                },
+                cmd.traceId, Phase::ResultDma);
+        });
+}
+
+void
+HostController::slsReadComplete(std::uint32_t op)
+{
+    Command cmd = inflight_.take(op);
+    cmd.slsDone(std::move(cmd.data));
 }
 
 void

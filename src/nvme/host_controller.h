@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/resource.h"
 #include "src/common/stats.h"
 #include "src/ftl/ftl.h"
@@ -72,8 +73,8 @@ class HostController
 {
   public:
     /** Completion of a data-read command (lazy page view). */
-    using ReadDone = std::function<void(const PageView &)>;
-    using WriteDone = std::function<void()>;
+    using ReadDone = FlashArray::ReadCallback;
+    using WriteDone = EventQueue::Callback;
     using SlsReadDone =
         std::function<void(std::shared_ptr<std::vector<std::byte>>)>;
 
@@ -129,11 +130,48 @@ class HostController
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
   private:
-    /** Command fetch: SQE DMA + controller parse cost. */
-    void fetchCommand(std::uint64_t trace_id, EventQueue::Callback then);
+    /**
+     * In-flight state of one command. Every phase continuation
+     * captures only `this`, the record index and the next step, so
+     * each fits an EventQueue::Callback's inline buffer.
+     */
+    struct Command
+    {
+        std::uint64_t traceId = 0;
+        Lpn lpn = 0;
+        /** Open controller span (cmd_process / cqe_post). */
+        SpanId span = invalidSpan;
+        /** Data the completion hands back (read commands). */
+        PageView view;
+        /** Write payload, or packed SLS result bytes. */
+        std::shared_ptr<std::vector<std::byte>> data;
+        /** SLS commands: the command as the handler sees it. */
+        NvmeCommand sls;
+        ReadDone readDone;
+        WriteDone writeDone;
+        SlsReadDone slsDone;
+    };
 
-    /** Completion: controller post cost + CQE DMA. */
-    void postCompletion(std::uint64_t trace_id, EventQueue::Callback then);
+    /** A phase of a command chain, run with the command's index. */
+    using Step = void (HostController::*)(std::uint32_t op);
+
+    /** Command fetch: SQE DMA + controller parse cost, then `next`. */
+    void fetchCommand(std::uint32_t op, Step next);
+
+    /** Completion: controller post cost + CQE DMA, then `next`. */
+    void postCompletion(std::uint32_t op, Step next);
+
+    /** @{ Command-specific phases (after fetch) and final steps (after
+     *  the completion posts). */
+    void readExecute(std::uint32_t op);
+    void readComplete(std::uint32_t op);
+    void writeExecute(std::uint32_t op);
+    void writeComplete(std::uint32_t op);
+    void trimExecute(std::uint32_t op);
+    void slsConfigExecute(std::uint32_t op);
+    void slsReadExecute(std::uint32_t op);
+    void slsReadComplete(std::uint32_t op);
+    /** @} */
 
     EventQueue &eq_;
     NvmeParams params_;
@@ -143,6 +181,7 @@ class HostController
     std::string trackName_;
     SerialResource ctrl_;
     bool dead_ = false;
+    RecordPool<Command> inflight_;
 
     Counter commands_;
     Counter dropped_;

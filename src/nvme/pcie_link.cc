@@ -25,28 +25,30 @@ PcieLink::transfer(std::uint64_t bytes, EventQueue::Callback done,
                    std::uint64_t trace_id, Phase phase)
 {
     bytesMoved_ += bytes;
-    Tick lat = params_.latency;
     SpanId span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_))
         span = tracer->begin(tracer->track(trackName_), "xfer", phase,
                              trace_id);
-    link_.acquire(occupancy(bytes), [this, lat, span,
-                                     done = std::move(done)]() {
-        // The span covers queueing + occupancy + propagation: the
-        // bytes' full time on the wire from the request's viewpoint.
-        if (done) {
-            eq_.scheduleAfter(lat, [this, span, done = std::move(done)]() {
-                if (Tracer *tracer = tracerOf(eq_))
-                    tracer->end(span);
-                done();
-            });
-        } else if (tracerOf(eq_) != nullptr) {
-            eq_.scheduleAfter(lat, [this, span]() {
-                if (Tracer *t = tracerOf(eq_))
-                    t->end(span);
-            });
-        }
-    });
+    std::uint32_t op = transfers_.put(Transfer{std::move(done), span});
+    link_.acquire(occupancy(bytes), [this, op]() { propagate(op); });
+}
+
+void
+PcieLink::propagate(std::uint32_t op)
+{
+    // The span covers queueing + occupancy + propagation: the bytes'
+    // full time on the wire from the request's viewpoint.
+    if (transfers_[op].done || tracerOf(eq_) != nullptr) {
+        eq_.scheduleAfter(params_.latency, [this, op]() {
+            Transfer xfer = transfers_.take(op);
+            if (Tracer *tracer = tracerOf(eq_))
+                tracer->end(xfer.span);
+            if (xfer.done)
+                xfer.done();
+        });
+    } else {
+        transfers_.release(op);
+    }
 }
 
 }  // namespace recssd

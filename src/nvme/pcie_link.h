@@ -15,9 +15,11 @@
 #include <string>
 
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/resource.h"
 #include "src/common/types.h"
 #include "src/obs/phase.h"
+#include "src/obs/tracer.h"
 
 namespace recssd
 {
@@ -55,11 +57,22 @@ class PcieLink
     const PcieParams &params() const { return params_; }
 
   private:
+    /** In-flight transfer: occupancy, then propagation latency. */
+    struct Transfer
+    {
+        EventQueue::Callback done;
+        SpanId span = invalidSpan;
+    };
+
+    /** Occupancy done: start the propagation leg (or drop it). */
+    void propagate(std::uint32_t op);
+
     EventQueue &eq_;
     PcieParams params_;
     std::string trackName_;
     SerialResource link_;
     std::uint64_t bytesMoved_ = 0;
+    RecordPool<Transfer> transfers_;
 };
 
 }  // namespace recssd

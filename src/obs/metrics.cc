@@ -38,7 +38,6 @@ void
 StatRegistry::addScalar(const std::string &group, const std::string &name,
                         Getter get)
 {
-    SimLockGuard hold(mu_);
     names_.push_back(group + "." + name);
     getters_.push_back(std::move(get));
 }
@@ -73,7 +72,6 @@ StatRegistry::addSample(const std::string &group, const std::string &name,
 double
 StatRegistry::valueOf(const std::string &name) const
 {
-    SimLockGuard hold(mu_);
     for (std::size_t i = 0; i < names_.size(); ++i) {
         if (names_[i] == name)
             return getters_[i]();
@@ -84,7 +82,6 @@ StatRegistry::valueOf(const std::string &name) const
 std::vector<double>
 StatRegistry::sample() const
 {
-    SimLockGuard hold(mu_);
     std::vector<double> out;
     out.reserve(getters_.size());
     for (const Getter &g : getters_)
@@ -95,7 +92,6 @@ StatRegistry::sample() const
 void
 StatRegistry::writeJson(std::ostream &os) const
 {
-    SimLockGuard hold(mu_);
     std::vector<std::size_t> order(names_.size());
     std::iota(order.begin(), order.end(), std::size_t{0});
     std::sort(order.begin(), order.end(),

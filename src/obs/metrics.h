@@ -48,8 +48,7 @@ class StatRegistry
      *  rows are positional, so a late column makes earlier rows
      *  narrower than the name list. */
     void addScalar(const std::string &group, const std::string &name,
-                   Getter get) RECSSD_STAT_REGISTRATION
-        RECSSD_EXCLUDES(mu_);
+                   Getter get) RECSSD_STAT_REGISTRATION;
 
     /** @{ Conveniences over the common stat types (not owned). */
     void addCounter(const std::string &group, const std::string &name,
@@ -61,20 +60,11 @@ class StatRegistry
                    const SampleStat *s) RECSSD_STAT_REGISTRATION;
     /** @} */
 
-    std::size_t size() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return names_.size();
-    }
-    const std::vector<std::string> &names() const RECSSD_EXCLUDES(mu_)
-    {
-        SimLockGuard hold(mu_);
-        return names_;
-    }
+    std::size_t size() const { return names_.size(); }
+    const std::vector<std::string> &names() const { return names_; }
 
     /** Evaluate every getter, in registration order. */
-    std::vector<double> sample() const RECSSD_REGISTRY_SAMPLING
-        RECSSD_EXCLUDES(mu_);
+    std::vector<double> sample() const RECSSD_REGISTRY_SAMPLING;
 
     /**
      * Evaluate the getter registered under `name` (linear scan;
@@ -89,15 +79,8 @@ class StatRegistry
     void writeJson(std::ostream &os) const RECSSD_REGISTRY_SAMPLING;
 
   private:
-    /**
-     * Pre-declared parallel-DES capability: registration happens at
-     * system setup, but under concurrent logical processes a late
-     * subsystem could race the sampling LP — the exact R6 hazard, made
-     * a machine-checked contract. Zero-cost today (analysis.h).
-     */
-    mutable SimMutex mu_;
-    std::vector<std::string> names_ RECSSD_GUARDED_BY(mu_);
-    std::vector<Getter> getters_ RECSSD_GUARDED_BY(mu_);
+    std::vector<std::string> names_;
+    std::vector<Getter> getters_;
 };
 
 /** One row of the sampled time series. */

@@ -18,13 +18,18 @@ namespace
 void
 runParallel(HostCpu &cpu, Tick total, EventQueue::Callback done)
 {
+    struct Join
+    {
+        unsigned remaining;
+        EventQueue::Callback done;
+    };
     unsigned shares = cpu.cores();
-    auto remaining = std::make_shared<unsigned>(shares);
+    auto join = std::make_shared<Join>(Join{shares, std::move(done)});
     Tick each = total / shares + 1;
     for (unsigned s = 0; s < shares; ++s) {
-        cpu.run(each, [remaining, done]() {
-            if (--*remaining == 0)
-                done();
+        cpu.run(each, [join]() {
+            if (--join->remaining == 0)
+                join->done();
         });
     }
 }

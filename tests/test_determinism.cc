@@ -210,13 +210,12 @@ TEST(Determinism, AuditedMixedRwServeIsByteIdentical)
 {
     // Mixed read-write serving under RECSSD_AUDIT drives every surface
     // the deferred-state protocol (src/common/analysis.h) annotates:
-    // the write path bumps per-LPN remap epochs through the guarded
-    // Ftl helpers, the NDP engine re-validates gather snapshots via
-    // writeEpochOf, the write observer fires after each map mutation,
-    // and the sampler reads the mutex-guarded StatRegistry throughout.
-    // The SimMutex/SimLockGuard contracts are zero-cost by design, so
-    // two audited runs must still export byte-identical artifacts —
-    // and must match an unaudited run byte for byte.
+    // the write path bumps per-LPN remap epochs, the NDP engine
+    // re-validates gather snapshots via writeEpochOf, the write
+    // observer fires after each map mutation, and the sampler reads
+    // the StatRegistry throughout. The audit only adds checks, so two
+    // audited runs must still export byte-identical artifacts — and
+    // must match an unaudited run byte for byte.
     auto mixedRun = [] {
         SystemConfig cfg = test::smallSystem();
         cfg.shard.numShards = 2;

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <queue>
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/random.h"
 
 namespace recssd
 {
@@ -112,6 +115,210 @@ TEST(EventQueue, PendingCountsQueuedEvents)
     EXPECT_EQ(eq.pending(), 10u);
     eq.runOne();
     EXPECT_EQ(eq.pending(), 9u);
+}
+
+/* ------------------------------------------------------------------ */
+/* Differential check of the kernel against a std::priority_queue     */
+/* model of the same (when, seq) order.                               */
+/* ------------------------------------------------------------------ */
+
+/**
+ * Seeded random schedule. Firing event `id` records it and spawns up
+ * to two children; their count and delays are a pure function of
+ * (seed, id), so two queues take identical actions for as long as
+ * their pop orders agree. 40% of delays are zero: same-tick bursts
+ * scheduled re-entrantly from inside a callback.
+ */
+struct Workload
+{
+    std::uint64_t seed;
+    std::uint64_t cap;  ///< events ever spawned (initial ones included)
+    std::uint64_t spawned = 0;
+    std::vector<std::uint64_t> order;  ///< ids in pop order
+
+    template <typename Spawn>
+    void
+    fire(std::uint64_t id, Tick now, Spawn &&spawn)
+    {
+        order.push_back(id);
+        Rng rng(seed * 0x9E3779B97F4A7C15ull + id);
+        std::uint64_t kids = rng.uniformInt(3);
+        for (std::uint64_t k = 0; k < kids && spawned < cap; ++k) {
+            Tick delay = rng.bernoulli(0.4) ? 0 : 1 + rng.uniformInt(50);
+            spawn(now + delay, spawned++);
+        }
+    }
+
+    /** A burst of initial events on a coarse tick grid (many ties). */
+    template <typename Spawn>
+    void
+    seedBurst(Tick base, std::uint64_t count, Spawn &&spawn)
+    {
+        Rng rng(seed);
+        for (std::uint64_t i = 0; i < count && spawned < cap; ++i)
+            spawn(base + 10 * rng.uniformInt(20), spawned++);
+    }
+};
+
+/** The reference: std::priority_queue over (when, seq). */
+class ReferenceQueue
+{
+  public:
+    void
+    schedule(Tick when, std::uint64_t id)
+    {
+        queue_.push(Ev{when, seq_++, id});
+    }
+
+    bool
+    runOne(Workload &w)
+    {
+        if (queue_.empty())
+            return false;
+        Ev ev = queue_.top();
+        queue_.pop();
+        now_ = ev.when;
+        w.fire(ev.id, now_,
+               [this](Tick t, std::uint64_t c) { schedule(t, c); });
+        return true;
+    }
+
+    void
+    runUntil(Tick limit, Workload &w)
+    {
+        if (queue_.empty())
+            return;
+        while (!queue_.empty() && queue_.top().when <= limit)
+            runOne(w);
+        if (now_ < limit)
+            now_ = limit;
+    }
+
+    Tick now() const { return now_; }
+    std::size_t pending() const { return queue_.size(); }
+    Tick nextWhen() const { return queue_.top().when; }
+
+  private:
+    struct Ev
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t id;
+    };
+    struct Later
+    {
+        bool
+        operator()(const Ev &a, const Ev &b) const
+        {
+            return a.when != b.when ? a.when > b.when : a.seq > b.seq;
+        }
+    };
+
+    std::priority_queue<Ev, std::vector<Ev>, Later> queue_;
+    Tick now_ = 0;
+    std::uint64_t seq_ = 0;
+};
+
+void
+scheduleReal(EventQueue &eq, Workload &w, Tick when, std::uint64_t id)
+{
+    eq.schedule(when, [&eq, &w, id]() {
+        w.fire(id, eq.now(), [&eq, &w](Tick t, std::uint64_t c) {
+            scheduleReal(eq, w, t, c);
+        });
+    });
+}
+
+/** Run one seeded schedule through both queues; `stepped` drives them
+ *  with runUntil limits at and between ticks instead of run(). */
+void
+expectSamePopOrder(std::uint64_t seed, bool stepped)
+{
+    EventQueue eq;
+    ReferenceQueue ref;
+    Workload real_w{seed, 3000, 0, {}};
+    Workload ref_w{seed, 3000, 0, {}};
+    // Two waves: the second is scheduled after the first drained, so
+    // it runs entirely on reused callback slots.
+    for (Tick wave = 0; wave < 2; ++wave) {
+        Tick base = eq.now();
+        real_w.seedBurst(base, 200, [&](Tick t, std::uint64_t id) {
+            scheduleReal(eq, real_w, t, id);
+        });
+        ref_w.seedBurst(base, 200, [&](Tick t, std::uint64_t id) {
+            ref.schedule(t, id);
+        });
+        real_w.cap += 3000;
+        ref_w.cap += 3000;
+        if (!stepped) {
+            eq.run();
+            while (ref.runOne(ref_w)) {
+            }
+        } else {
+            Rng rng(seed ^ 0x5157);
+            while (ref.pending() > 0) {
+                // At a pending tick, or somewhere between ticks.
+                Tick limit = rng.bernoulli(0.5)
+                                 ? ref.nextWhen()
+                                 : ref.now() + rng.uniformInt(40);
+                eq.runUntil(limit);
+                ref.runUntil(limit, ref_w);
+                ASSERT_EQ(real_w.order, ref_w.order) << "seed " << seed;
+                ASSERT_EQ(eq.now(), ref.now()) << "seed " << seed;
+                ASSERT_EQ(eq.pending(), ref.pending()) << "seed " << seed;
+            }
+        }
+        ASSERT_TRUE(eq.empty());
+        ASSERT_EQ(real_w.order, ref_w.order) << "seed " << seed;
+        ASSERT_EQ(eq.now(), ref.now()) << "seed " << seed;
+    }
+    EXPECT_EQ(eq.executed(), real_w.order.size());
+    EXPECT_GT(real_w.order.size(), 1000u) << "schedule too small to test";
+}
+
+/** Sets RECSSD_AUDIT for its lifetime (queues read it at construction). */
+class ScopedAudit
+{
+  public:
+    ScopedAudit() { ::setenv("RECSSD_AUDIT", "1", 1); }
+    ~ScopedAudit() { ::unsetenv("RECSSD_AUDIT"); }
+    ScopedAudit(const ScopedAudit &) = delete;
+    ScopedAudit &operator=(const ScopedAudit &) = delete;
+};
+
+TEST(EventQueueDifferential, RunMatchesPriorityQueueModel)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        expectSamePopOrder(seed, false);
+}
+
+TEST(EventQueueDifferential, RunUntilMatchesPriorityQueueModel)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        expectSamePopOrder(seed, true);
+}
+
+TEST(EventQueueDifferential, AuditedRunsMatchPriorityQueueModel)
+{
+    // The audit arms the strictly-increasing (when, seq) pop check.
+    ScopedAudit audit;
+    for (std::uint64_t seed = 21; seed <= 30; ++seed) {
+        expectSamePopOrder(seed, false);
+        expectSamePopOrder(seed, true);
+    }
+}
+
+TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue)
+{
+    auto token = std::make_shared<int>(0);
+    {
+        EventQueue eq;
+        eq.schedule(10, [token]() {});
+        eq.schedule(20, [token]() {});
+        eq.runOne();
+        EXPECT_EQ(token.use_count(), 2) << "ran callback freed at once";
+    }
+    EXPECT_EQ(token.use_count(), 1) << "pending callback leaked";
 }
 
 }  // namespace
