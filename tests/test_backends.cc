@@ -177,7 +177,10 @@ struct LayoutCase
 {
     std::uint32_t dim;
     std::uint32_t attr;
-    bool packed;
+    // A full word rather than bool so the struct has no padding: gtest
+    // prints the raw bytes into the test name, and padding bytes are
+    // indeterminate, which made the names change from build to build.
+    std::uint32_t packed;
 };
 
 class BackendEquivalenceTest
