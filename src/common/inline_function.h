@@ -62,32 +62,30 @@ struct IsStdFunction<std::function<S>> : std::true_type
 /** Targets whose "empty" state must map to an empty InlineFunction. */
 template <typename D>
 inline constexpr bool nullableTarget =
-    IsStdFunction<D>::value || std::is_pointer_v<D> ||
-    std::is_member_pointer_v<D>;
+    IsStdFunction<D>::value || std::is_pointer_v<D>;
 
 }  // namespace detail
 
-template <typename Sig, std::size_t Capacity = kInlineCallbackBytes>
+template <typename Sig>
 class InlineFunction;
 
 /**
- * A move-only `R(Args...)` callable. Captures of at most `Capacity`
- * bytes (and at most max_align_t alignment, nothrow-movable) live
- * inline; larger ones live in a pooled spill block that the function
- * owns and frees exactly once. A moved-from function is empty.
+ * A move-only `void(Args...)` callable. Captures of at most
+ * `kInlineCallbackBytes` bytes (and at most max_align_t alignment,
+ * nothrow-movable) live inline; larger ones live in a pooled spill
+ * block that the function owns and frees exactly once. A moved-from
+ * function is empty.
  */
-template <typename R, typename... Args, std::size_t Capacity>
-class InlineFunction<R(Args...), Capacity>
+template <typename... Args>
+class InlineFunction<void(Args...)>
 {
   public:
-    static constexpr std::size_t inlineCapacity = Capacity;
-
     InlineFunction() noexcept = default;
     InlineFunction(std::nullptr_t) noexcept {}
 
     template <typename F, typename D = std::decay_t<F>>
         requires(!std::is_same_v<D, InlineFunction> &&
-                 std::is_invocable_r_v<R, D &, Args...>)
+                 std::is_invocable_v<D &, Args...>)
     InlineFunction(F &&f)
     {
         if constexpr (detail::nullableTarget<D>) {
@@ -132,7 +130,7 @@ class InlineFunction<R(Args...), Capacity>
 
     template <typename F, typename D = std::decay_t<F>>
         requires(!std::is_same_v<D, InlineFunction> &&
-                 std::is_invocable_r_v<R, D &, Args...>)
+                 std::is_invocable_v<D &, Args...>)
     InlineFunction &
     operator=(F &&f)
     {
@@ -146,10 +144,10 @@ class InlineFunction<R(Args...), Capacity>
 
     /** Invoke the target; the function must not be empty. Like
      *  std::function, a const function may call a mutable target. */
-    R
+    void
     operator()(Args... args) const
     {
-        return ops_->invoke(const_cast<unsigned char *>(buf_),
+        ops_->invoke(const_cast<unsigned char *>(buf_),
                             std::forward<Args>(args)...);
     }
 
@@ -181,30 +179,20 @@ class InlineFunction<R(Args...), Capacity>
     static constexpr bool
     fitsInline()
     {
-        return sizeof(D) <= Capacity &&
+        return sizeof(D) <= kInlineCallbackBytes &&
                alignof(D) <= alignof(std::max_align_t) &&
                std::is_nothrow_move_constructible_v<D>;
     }
 
     struct Ops
     {
-        R (*invoke)(void *self, Args &&...args);
+        void (*invoke)(void *self, Args &&...args);
         /** Move the target from `src` to `dst` and end it at `src`. */
         void (*relocate)(void *dst, void *src) noexcept;
         /** Null for trivially destructible inline targets. */
         void (*destroy)(void *self) noexcept;
         bool spilled;
     };
-
-    template <typename D>
-    static R
-    invokeTarget(D &target, Args &&...args)
-    {
-        if constexpr (std::is_void_v<R>)
-            std::invoke(target, std::forward<Args>(args)...);
-        else
-            return std::invoke(target, std::forward<Args>(args)...);
-    }
 
     template <typename D>
     static D *
@@ -217,9 +205,8 @@ class InlineFunction<R(Args...), Capacity>
 
     template <typename D>
     static constexpr Ops kInlineOps = {
-        [](void *self, Args &&...args) -> R {
-            return invokeTarget(*static_cast<D *>(self),
-                                std::forward<Args>(args)...);
+        [](void *self, Args &&...args) {
+            (*static_cast<D *>(self))(std::forward<Args>(args)...);
         },
         [](void *dst, void *src) noexcept {
             if constexpr (std::is_trivially_copyable_v<D> &&
@@ -241,9 +228,8 @@ class InlineFunction<R(Args...), Capacity>
      *  pointer, destruction ends the target and frees its block. */
     template <typename D>
     static constexpr Ops kSpilledOps = {
-        [](void *self, Args &&...args) -> R {
-            return invokeTarget(*spilledTarget<D>(self),
-                                std::forward<Args>(args)...);
+        [](void *self, Args &&...args) {
+            (*spilledTarget<D>(self))(std::forward<Args>(args)...);
         },
         [](void *dst, void *src) noexcept {
             std::memcpy(dst, src, sizeof(D *));
@@ -266,7 +252,7 @@ class InlineFunction<R(Args...), Capacity>
         other.ops_ = nullptr;
     }
 
-    alignas(std::max_align_t) unsigned char buf_[Capacity];
+    alignas(std::max_align_t) unsigned char buf_[kInlineCallbackBytes];
     const Ops *ops_ = nullptr;
 };
 

@@ -47,31 +47,11 @@ fillVector(const EmbeddingTableDesc &desc, RowId row,
 {
     recssd_assert(out.size() >= desc.vectorBytes(),
                   "output smaller than vector");
-    // Same values as encodeAttr(out, e, attrBytes, value(...)) per
-    // element, with the row's hash seed and the attribute-size switch
-    // hoisted out of the element loop.
+    // The row's hash seed is hoisted out of the element loop.
     const std::uint64_t seed = rowSeed(desc.id, desc.globalRow(row));
-    std::byte *dst = out.data();
-    switch (desc.attrBytes) {
-      case 4:
-        for (std::uint32_t e = 0; e < desc.dim; ++e) {
-            float v = static_cast<float>(mix(seed ^ e) & 0xF);
-            std::memcpy(dst + std::size_t(e) * 4, &v, 4);
-        }
-        return;
-      case 2:
-        for (std::uint32_t e = 0; e < desc.dim; ++e) {
-            auto v = static_cast<std::uint16_t>(mix(seed ^ e) & 0xF);
-            std::memcpy(dst + std::size_t(e) * 2, &v, 2);
-        }
-        return;
-      case 1:
-        for (std::uint32_t e = 0; e < desc.dim; ++e)
-            dst[e] = static_cast<std::byte>(mix(seed ^ e) & 0xF);
-        return;
-      default:
-        panic("unsupported attribute size %u", desc.attrBytes);
-    }
+    encodeAttrs(out, desc.dim, desc.attrBytes, [seed](std::uint32_t e) {
+        return static_cast<float>(mix(seed ^ e) & 0xF);
+    });
 }
 
 std::vector<float>

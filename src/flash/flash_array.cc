@@ -164,8 +164,10 @@ FlashArray::finishRead(std::uint32_t op)
     // The flash layer is below the L2P map: the record's ppn is this
     // read's physical target, not a mapping snapshot. The log-
     // structured FTL never rewrites a live ppn, so the bytes under it
-    // are stable until erase. The record is freed before `done` runs,
-    // so a read issued from `done` may reuse it.
+    // are stable until erase.
+    RECSSD_DEFERRED_SAFE("physical address, not mapping state");
+    // The record is freed before `done` runs, so a read issued from
+    // `done` may reuse it.
     ReadOp read = reads_.take(op);
     if (Tracer *tracer = tracerOf(eq_))
         tracer->end(read.span);

@@ -331,19 +331,21 @@ SlsEngine::finishTranslate(std::uint32_t op)
         util->record(trackName_, xlate.enqueued, xlate.started, eq_.now());
     if (Tracer *tracer = tracerOf(eq_))
         tracer->end(xlate.span);
-    PageView page(ftl_.flash().store(), xlate.ppn);
-    if (!params_.disableWriteFence &&
-        ftl_.writeEpochOf(work.lpn) != work.epoch) {
-        // Read-after-write fence: the logical page was remapped (host
-        // rewrite, trim, GC or migration move) between PPN resolution
-        // and this consume. The stale PPN's bytes may already be
-        // erased; re-point the view at the live mapping so the gather
-        // sums the old-or-new row, never a torn one. Content at a
-        // fixed PPN only ever changes via block erase (writes go to
-        // fresh PPNs), so the re-resolved view is consistent.
+    // Read-after-write fence: the logical page was remapped (host
+    // rewrite, trim, GC or migration move) between PPN resolution and
+    // this consume when its epoch moved. The stale PPN's bytes may
+    // already be erased; re-point the view at the live mapping so the
+    // gather sums the old-or-new row, never a torn one. Content at a
+    // fixed PPN only ever changes via block erase (writes go to fresh
+    // PPNs), so the re-resolved view is consistent.
+    const bool remapped = !params_.disableWriteFence &&
+                          ftl_.writeEpochOf(work.lpn) != work.epoch;
+    Ppn ppn = xlate.ppn;
+    if (remapped) {
         fenceRedirects_.inc();
-        page = PageView(ftl_.flash().store(), ftl_.translate(work.lpn));
+        ppn = ftl_.translate(work.lpn);
     }
+    PageView page(ftl_.flash().store(), ppn);
     if (audit_) {
         // Torn-sum invariant: consuming a PPN that is no longer the
         // live mapping is only sound while its bytes are intact (the

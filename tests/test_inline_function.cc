@@ -70,28 +70,34 @@ TEST(InlineFunction, EmptyStates)
     EXPECT_FALSE(set);
 }
 
-TEST(InlineFunction, PassesArgumentsAndReturnsValues)
+TEST(InlineFunction, PassesArguments)
 {
-    InlineFunction<int(int, const std::string &)> f =
-        [base = 10](int x, const std::string &s) {
-            return base + x + static_cast<int>(s.size());
+    int seen = 0;
+    InlineFunction<void(int, const std::string &)> f =
+        [base = 10, &seen](int x, const std::string &s) {
+            seen = base + x + static_cast<int>(s.size());
         };
-    EXPECT_EQ(f(5, "abc"), 18);
+    f(5, "abc");
+    EXPECT_EQ(seen, 18);
 }
 
 TEST(InlineFunction, HoldsMoveOnlyCaptures)
 {
-    InlineFunction<int()> f = [p = std::make_unique<int>(7)]() { return *p; };
+    int seen = 0;
+    Callback f = [p = std::make_unique<int>(7), &seen]() { seen = *p; };
     EXPECT_FALSE(f.spilled());
-    InlineFunction<int()> g = std::move(f);
-    EXPECT_EQ(g(), 7);
+    Callback g = std::move(f);
+    g();
+    EXPECT_EQ(seen, 7);
 }
 
 TEST(InlineFunction, MutableTargetsKeepStateAcrossCalls)
 {
-    InlineFunction<int()> counter = [n = 0]() mutable { return ++n; };
+    int seen = 0;
+    Callback counter = [n = 0, &seen]() mutable { seen = ++n; };
     counter();
-    EXPECT_EQ(counter(), 2);
+    counter();
+    EXPECT_EQ(seen, 2);
 }
 
 TEST(InlineFunction, CaptureOfExactlyInlineCapacityStaysInline)

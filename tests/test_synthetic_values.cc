@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/embedding/synthetic_values.h"
 #include "src/ndp/attr_codec.h"
 
@@ -143,6 +147,42 @@ TEST(SyntheticValues, GeneratorZeroFillsPageTail)
     gen(0, 32, out);  // starts right past the vector
     for (auto b : out)
         EXPECT_EQ(b, std::byte{0});
+}
+
+TEST(SyntheticValues, GeneratorMatchesFillVectorOnEveryUnalignedRange)
+{
+    // Every (offset, length) window of a page, including windows that
+    // cut a vector mid-element, must equal the same bytes of the page
+    // image built from whole fillVector rows (zeros past the last
+    // slot and past the table end).
+    for (std::uint32_t attr : {1u, 2u, 4u}) {
+        auto d = desc(7, attr, 4);  // odd dim: vectors of 7/14/28 B
+        d.rowBase = 100;
+        d.rows = 4 * 3 + 2;  // page 3 holds two rows, then padding
+        const std::size_t vec = d.vectorBytes();
+        const std::size_t image_bytes = (d.rowsPerPage + 2) * vec;
+        auto gen = synthetic::makeGenerator(d);
+        for (std::uint64_t page : {0ull, 3ull}) {
+            std::vector<std::byte> image(image_bytes, std::byte{0});
+            for (std::uint32_t slot = 0; slot < d.rowsPerPage; ++slot) {
+                RowId row = page * d.rowsPerPage + slot;
+                if (row < d.rows)
+                    synthetic::fillVector(
+                        d, row, std::span(image).subspan(slot * vec, vec));
+            }
+            for (std::size_t off = 0; off < image_bytes; ++off) {
+                for (std::size_t len = 1; off + len <= image_bytes;
+                     ++len) {
+                    std::vector<std::byte> out(len, std::byte{0xAA});
+                    gen(page, off, out);
+                    ASSERT_TRUE(std::equal(out.begin(), out.end(),
+                                           image.begin() + off))
+                        << "attr " << attr << " page " << page
+                        << " offset " << off << " length " << len;
+                }
+            }
+        }
+    }
 }
 
 }  // namespace

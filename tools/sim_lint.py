@@ -46,7 +46,11 @@ over lambdas and callback bodies applies:
         captured PPN / PageView / cache-slot / pin must pass it
         through a declared live-lookup (RECSSD_LIVE_LOOKUP) before the
         first use -- state captured at command issue is stale by
-        default (stale deferred cache inserts, hot-tier pins).  Also:
+        default (stale deferred cache inserts, hot-tier pins).  The
+        same holds for state a continuation reads back out of a
+        per-operation record (a RecordPool member): in a function that
+        a deferred body calls, a state-named field of a record taken
+        from the pool (`read.ppn`) counts as a capture.  Also:
         a mapping-change observer (RECSSD_NOTIFIES_MAP_SET) may only
         fire after a RECSSD_MAP_MUTATOR call in the same body (at the
         map-set instant, never at command entry).
@@ -200,6 +204,9 @@ MARKER_KINDS = {
 
 MARKER_RE = re.compile(r"\b(" + "|".join(MARKER_KINDS) + r")\b")
 
+# A RecordPool member declaration: `RecordPool<ReadOp> reads_;`.
+RECORD_POOL_RE = re.compile(r"\bRecordPool\s*<[^;{}()]*>\s+(\w+)\s*[;{=]")
+
 # Capture names that denote issue-time mapping state (the currency of
 # the deferred-state protocol): physical page numbers, page views, and
 # cache/tier slots & pins.  The annotation pass keeps PPN-typed
@@ -225,6 +232,7 @@ class Registry:
         self.samplings = set()
         self.span_begins = set()
         self.span_ends = set()
+        self.record_pools = set()  # RecordPool members (per-op records)
 
     def observer_members(self):
         """`setWriteObserver` -> `writeObserver_` (by convention)."""
@@ -293,6 +301,8 @@ def collect_annotations(stripped_nopp, registry):
         name = func_name_before(stripped_nopp, m.start())
         if name:
             getattr(registry, kind).add(name)
+    for m in RECORD_POOL_RE.finditer(stripped_nopp):
+        registry.record_pools.add(m.group(1))
 
 
 # ---------------------------------------------------------------------------
@@ -786,6 +796,68 @@ class FileFlow:
                           "without re-validating against the live "
                           "mapping" % name, is_line=True)
 
+    # -- R5 (records): state read back from a per-operation record ----
+
+    _CALL_RE = re.compile(r"(?:\bthis\s*->\s*|(?<![\w.>:]))(\w+)\s*\(")
+
+    def check_r5_records(self):
+        """A continuation that captures only a record index
+        (`[this, op]() { finishRead(op); }`) receives its issue-time
+        state through a RecordPool record.  In each function such a
+        deferred body calls, a state-named field of a record bound
+        from a pool (`ReadOp read = reads_.take(op)`, `reads_[op]`)
+        is a snapshot like a capture: its first use must be dominated
+        by a live lookup, or the body must say RECSSD_DEFERRED_SAFE."""
+        pools = self.registry.record_pools
+        if not pools:
+            return
+        by_name = {}
+        for name, start, end in self.functions:
+            by_name.setdefault(name, []).append((start, end))
+        pool_alt = "|".join(sorted(re.escape(p) for p in pools))
+        bind_re = re.compile(
+            r"\b(\w+)\s*=\s*(?:this\s*->\s*)?(?:%s)\s*"
+            r"(?:\.\s*take\s*\(|\[)" % pool_alt)
+        direct_re = re.compile(
+            r"\b((?:%s)\s*\[[^\]]*\])\s*(?:\.|->)\s*(\w+)" % pool_alt)
+        consumers = set()
+        for lam in self.lambdas:
+            if not self.deferred(lam):
+                continue
+            body = self.masked_body(lam.body_start, lam.body_end)
+            for m in self._CALL_RE.finditer(body):
+                consumers.update(by_name.get(m.group(1), ()))
+        for start, end in sorted(consumers):
+            body = self.masked_body(start, end)
+            if "RECSSD_DEFERRED_SAFE" in body:
+                continue
+            uses = [(m.start(), m.group(1), m.group(2))
+                    for m in direct_re.finditer(body)]
+            records = {m.group(1) for m in bind_re.finditer(body)}
+            if records:
+                field_re = re.compile(
+                    r"\b(%s)\s*(?:\.|->)\s*(\w+)" %
+                    "|".join(sorted(re.escape(r) for r in records)))
+                uses += [(m.start(), m.group(1), m.group(2))
+                         for m in field_re.finditer(body)]
+            lookup_lines = set()
+            if self.live_re:
+                for m in self.live_re.finditer(body):
+                    lookup_lines.add(self.line_of(start + m.start()))
+            state_uses = sorted(
+                (self.line_of(start + pos), "%s.%s" % (rec, field))
+                for pos, rec, field in uses if is_state_name(field))
+            state_uses = [u for u in state_uses if u[0] not in lookup_lines]
+            if not state_uses:
+                continue
+            first_use, what = state_uses[0]
+            if any(l <= first_use for l in lookup_lines):
+                continue
+            self.emit(first_use, "R5",
+                      "record field `%s` consumed in a deferred "
+                      "continuation without re-validating against the "
+                      "live mapping" % what, is_line=True)
+
     # -- R5b: observer fires only at the map-set instant ---------------
 
     def check_observer_order(self):
@@ -961,6 +1033,7 @@ class FileFlow:
 
     def run(self):
         self.check_r5()
+        self.check_r5_records()
         self.check_observer_order()
         self.check_r6()
         self.check_r7()
@@ -1204,8 +1277,9 @@ FIXTURE_SETS = [
 # Mutation checks: reverting a real re-validation in today's tree must
 # turn stage 0 red.  Each entry is (relative path, pattern,
 # replacement, occurrence count, rule that must fire, description).
-# The first four are PR 8's stale-pointer fixes; the fifth is PR 8's
-# metrics-exporter out-of-bounds fix.
+# The first four revert stale-pointer fixes; the fifth drops the
+# read-after-write fence from the SLS engine's record-based translate
+# continuation; the last reverts the metrics-exporter out-of-bounds fix.
 MUTATIONS = [
     ("src/ftl/ftl.cc",
      r"bool current = map_\.lookup\(lpn\) == ppn;",
@@ -1223,6 +1297,11 @@ MUTATIONS = [
      r"(Ppn old = map_\.lookup\(lpn\);)",
      r"\1 if (writeObserver_) writeObserver_(lpn);", 1, "R5",
      "write observer moved back to command entry (before map_.set)"),
+    ("src/ndp/sls_engine.cc",
+     r"ftl_\.writeEpochOf\(work\.lpn\) != work\.epoch",
+     "false", 1, "R5",
+     "SLS translate continuation: record's PPN consumed without the "
+     "write-epoch fence"),
     ("src/obs/metrics.cc",
      r"std::min\(names\.size\(\), row\.values\.size\(\)\)",
      "names.size()", 1, "R6",

@@ -145,4 +145,68 @@ sumTwice(MappingTable &map, Lpn lpn)
     return twice();
 }
 
+// Per-operation records: a continuation that reads the issue-time
+// PPN back out of a pooled record re-validates it (or justifies why
+// it cannot go stale) exactly as a capturing body would.
+template <typename T>
+struct RecordPool
+{
+    unsigned put(T value);
+    T take(unsigned index);
+    T &operator[](unsigned index);
+};
+
+struct RecordDevice
+{
+    struct ReadOp
+    {
+        Lpn lpn;
+        Ppn ppn;
+        long bytes;
+    };
+
+    MappingTable map_;
+    EventQueue eq_;
+    PageCache cache_;
+    RecordPool<ReadOp> reads_;
+
+    void read(Lpn lpn, long delay)
+    {
+        unsigned op = reads_.put(ReadOp{lpn, map_.lookup(lpn), 0});
+        eq_.scheduleAfter(delay, [this, op]() { finishGuarded(op); });
+        eq_.scheduleAfter(delay, [this, op]() { finishPhysical(op); });
+        eq_.scheduleAfter(delay, [this, op]() { countBytes(op); });
+        issueNow(op);
+    }
+
+    void finishGuarded(unsigned op)
+    {
+        ReadOp read = reads_.take(op);
+        if (map_.lookup(read.lpn) != read.ppn)
+            return;
+        cache_.insert(read.lpn, read.ppn);
+    }
+
+    void finishPhysical(unsigned op)
+    {
+        RECSSD_DEFERRED_SAFE("the flash layer addresses physical pages");
+        ReadOp read = reads_.take(op);
+        cache_.insert(read.lpn, read.ppn);
+    }
+
+    // Only non-state fields: nothing to re-validate.
+    void countBytes(unsigned op)
+    {
+        const ReadOp &read = reads_[op];
+        cache_.insert(read.lpn, read.bytes);
+    }
+
+    // Called synchronously at issue, not from a deferred body: the
+    // record's PPN is still current.
+    void issueNow(unsigned op)
+    {
+        cache_.insert(reads_[op].lpn, reads_[op].ppn);
+    }
+};
+
 }  // namespace r5_clean_fixture

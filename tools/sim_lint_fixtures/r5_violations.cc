@@ -139,4 +139,51 @@ struct QosScheduler
     }
 };
 
+// Per-operation records: the continuation captures only a record
+// index, so the issue-time PPN travels in a pooled record instead of
+// the capture list. Reading it back in the continuation consumes the
+// same snapshot a `ppn` capture would.
+template <typename T>
+struct RecordPool
+{
+    unsigned put(T value);
+    T take(unsigned index);
+    T &operator[](unsigned index);
+};
+
+struct RecordDevice
+{
+    struct ReadOp
+    {
+        Lpn lpn;
+        Ppn ppn;
+    };
+
+    MappingTable map_;
+    EventQueue eq_;
+    PageCache cache_;
+    HotTier tier_;
+    RecordPool<ReadOp> reads_;
+
+    void read(Lpn lpn, long delay)
+    {
+        unsigned op = reads_.put(ReadOp{lpn, map_.lookup(lpn)});
+        eq_.scheduleAfter(delay, [this, op]() { finishRead(op); });
+        eq_.scheduleAfter(delay, [this, op]() { pinRead(op); });
+    }
+
+    // The record bound from the pool carries the stale PPN.
+    void finishRead(unsigned op)
+    {
+        ReadOp read = reads_.take(op);
+        cache_.insert(read.lpn, read.ppn);  // expect: R5
+    }
+
+    // Indexing the pool directly is the same read.
+    void pinRead(unsigned op)
+    {
+        tier_.pinFromRead(reads_[op].lpn, reads_[op].ppn);  // expect: R5
+    }
+};
+
 }  // namespace r5_fixture
