@@ -8,9 +8,11 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 
+#include "src/cache/host_embedding_cache.h"
 #include "src/cache/lru_cache.h"
 #include "src/cache/set_assoc_lru.h"
 #include "src/common/analysis.h"
@@ -119,6 +121,32 @@ BM_LruCachePutGet(benchmark::State &state)
 }
 BENCHMARK(BM_LruCachePutGet);
 
+/** The baseline backend's cache traffic: Zipf(1.05) rows of a 100k-row
+ *  table through a 2048-row LRU of 32-float rows; a miss fills the
+ *  row. */
+void
+BM_HostEmbeddingCacheZipf(benchmark::State &state)
+{
+    constexpr std::uint32_t kDim = 32;
+    HostEmbeddingCache cache(2048);
+    ZipfSampler zipf(100'000, 1.05);
+    Rng rng(1);
+    float sum = 0.0f;
+    for (auto _ : state) {
+        RowId row = zipf.sample(rng);
+        if (const float *vec = cache.get(0, row)) {
+            sum += vec[0];
+            continue;
+        }
+        cache.fill(0, row, kDim, [row](std::span<float> out) {
+            std::ranges::fill(out, static_cast<float>(row & 0xF));
+        });
+    }
+    benchmark::DoNotOptimize(sum);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostEmbeddingCacheZipf);
+
 void
 BM_EmbeddingCacheLookup(benchmark::State &state)
 {
@@ -157,13 +185,14 @@ BENCHMARK(BM_SlsConfigRoundTrip);
 void
 BM_ZipfSample(benchmark::State &state)
 {
-    ZipfSampler zipf(1'000'000, 1.05);
+    ZipfSampler zipf(static_cast<std::uint64_t>(state.range(0)), 1.05);
     Rng rng(1);
     for (auto _ : state)
         benchmark::DoNotOptimize(zipf.sample(rng));
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ZipfSample);
+// 100k rows is the baseline workload's table; 1M a large one.
+BENCHMARK(BM_ZipfSample)->Arg(100'000)->Arg(1'000'000);
 
 void
 BM_LocalityTraceNext(benchmark::State &state)

@@ -40,6 +40,13 @@
 #      bench/baselines/. All gated metrics are simulated-time, so they
 #      are exact on any host; a regression here means the change moved
 #      simulated performance, not the machine.
+#   7h host-time benchmark — configures hostbench/ (its own CMake
+#      package, RelWithDebInfo) into build-hostbench, builds hostbench
+#      and hostbench_tests, runs their ctest, then a 1 s `--trace 0`
+#      smoke of every BENCHMARK.json workload, each of which must exit
+#      0 (digests agree across repeats, the DRAM oracle passes). It
+#      links the library's public API, which the main build never
+#      exercises from outside.
 #   8  quick + shard + layout + obs2 + updates2 + qos suites again
 #      under ASan+UBSan in a separate build tree (the 4-device,
 #      freq-layout, mixed-RW and 2-tenant QoS smokes and two
@@ -160,6 +167,19 @@ echo "=== stage 7: observability + perf-regression gate ==="
 RECSSD_AUDIT=1 ctest --test-dir build -L obs2 --output-on-failure -j
 python3 scripts/bench_baseline.py --self-test
 python3 scripts/bench_baseline.py --sim build/tools/recssd_sim
+
+echo
+echo "=== stage 7h: host-time benchmark (hostbench build + tests + smokes) ==="
+cmake -B build-hostbench -S hostbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build build-hostbench -j --target hostbench hostbench_tests
+ctest --test-dir build-hostbench --output-on-failure
+# The benchmark refuses to time under RECSSD_AUDIT; its smokes run
+# without it.
+for workload in $(python3 -c 'import json; print(" ".join(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))'); do
+    env -u RECSSD_AUDIT ./build-hostbench/hostbench --workload "${workload}" \
+        --seed 1 --seconds 1 --trace 0 --out-dir build-hostbench/out \
+        > /dev/null
+done
 
 if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
     echo

@@ -12,35 +12,59 @@ HostEmbeddingCache::HostEmbeddingCache(std::size_t entries_per_table)
 HostEmbeddingCache::TableCache &
 HostEmbeddingCache::tableCache(std::uint32_t table_id)
 {
-    auto it = tables_.find(table_id);
-    if (it == tables_.end()) {
-        it = tables_
-                 .emplace(table_id,
-                          std::make_unique<TableCache>(entriesPerTable_))
-                 .first;
-    }
-    return *it->second;
+    if (table_id >= tables_.size())
+        tables_.resize(std::size_t(table_id) + 1);
+    auto &table = tables_[table_id];
+    if (!table)
+        table = std::make_unique<TableCache>(entriesPerTable_);
+    return *table;
 }
 
-const HostEmbeddingCache::Vector *
+const float *
 HostEmbeddingCache::get(std::uint32_t table_id, RowId row)
 {
-    return tableCache(table_id).get(row);
+    float **slot = tableCache(table_id).lru.get(row);
+    return slot ? *slot : nullptr;
+}
+
+float *
+HostEmbeddingCache::slotFor(std::uint32_t table_id, RowId row,
+                            std::uint32_t dim)
+{
+    TableCache &t = tableCache(table_id);
+    if (t.values.empty()) {
+        recssd_assert(dim > 0, "cached rows need a width");
+        t.dim = dim;
+        t.values.resize(entriesPerTable_ * dim);
+    }
+    recssd_assert(dim == t.dim, "table %u cached at two widths", table_id);
+    float *&slot = t.lru.insert(row);
+    if (slot == nullptr)
+        slot = t.values.data() + t.slotsUsed++ * dim;
+    return slot;
 }
 
 void
-HostEmbeddingCache::put(std::uint32_t table_id, RowId row, Vector value)
+HostEmbeddingCache::applyUpdate(std::uint32_t table_id, RowId row,
+                                std::span<const float> values)
 {
-    tableCache(table_id).put(row, std::move(value));
+    updated_[{table_id, row}].assign(values.begin(), values.end());
+    if (table_id >= tables_.size() || !tables_[table_id])
+        return;
+    TableCache &t = *tables_[table_id];
+    if (float **slot = t.lru.peek(row)) {
+        recssd_assert(values.size() == t.dim,
+                      "update width does not match the cached row");
+        std::ranges::copy(values, *slot);
+    }
 }
 
 std::uint64_t
 HostEmbeddingCache::hits() const
 {
     std::uint64_t total = 0;
-    // sim-lint: allow(R3) commutative sum over per-table counters
-    for (const auto &[id, cache] : tables_)
-        total += cache->hits();
+    for (const auto &table : tables_)
+        total += table ? table->lru.hits() : 0;
     return total;
 }
 
@@ -48,9 +72,8 @@ std::uint64_t
 HostEmbeddingCache::misses() const
 {
     std::uint64_t total = 0;
-    // sim-lint: allow(R3) commutative sum over per-table counters
-    for (const auto &[id, cache] : tables_)
-        total += cache->misses();
+    for (const auto &table : tables_)
+        total += table ? table->lru.misses() : 0;
     return total;
 }
 
@@ -65,9 +88,10 @@ HostEmbeddingCache::hitRate() const
 void
 HostEmbeddingCache::resetStats()
 {
-    // sim-lint: allow(R3) zeroing every counter; order-free
-    for (auto &[id, cache] : tables_)
-        cache->resetStats();
+    for (auto &table : tables_) {
+        if (table)
+            table->lru.resetStats();
+    }
 }
 
 }  // namespace recssd

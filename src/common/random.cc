@@ -1,6 +1,8 @@
 #include "src/common/random.h"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/common/logging.h"
 
@@ -103,6 +105,8 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
     : n_(n), alpha_(alpha), cdf_(n)
 {
     recssd_assert(n >= 1, "Zipf universe must be non-empty");
+    recssd_assert(n <= std::numeric_limits<std::uint32_t>::max(),
+                  "Zipf universe must fit 32 bits");
     double sum = 0.0;
     for (std::uint64_t i = 0; i < n_; ++i) {
         sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha_);
@@ -110,15 +114,32 @@ ZipfSampler::ZipfSampler(std::uint64_t n, double alpha)
     }
     for (auto &v : cdf_)
         v /= sum;
+
+    // cdf_ is non-decreasing and bucketOf is monotone, so the buckets
+    // of successive CDF entries never go down; each rank claims the
+    // buckets up to its own. cdf_.back() is exactly 1, whose bucket is
+    // n_, so guide_[0..n_] all name a rank and guide_[n_ + 1] = n_.
+    guide_.assign(n_ + 2, static_cast<std::uint32_t>(n_));
+    std::size_t j = 0;
+    for (std::uint64_t i = 0; i < n_; ++i) {
+        for (std::size_t b = bucketOf(cdf_[i]); j <= b; ++j)
+            guide_[j] = static_cast<std::uint32_t>(i);
+    }
 }
 
 std::uint64_t
-ZipfSampler::sample(Rng &rng) const
+ZipfSampler::rankOf(double u) const
 {
-    double u = rng.uniformDouble();
-    // Binary search for the first CDF entry >= u.
-    std::uint64_t lo = 0;
-    std::uint64_t hi = n_ - 1;
+    // Let r be the first rank with cdf_[r] >= u. Every rank below
+    // guide_[b] has a bucket below b = bucketOf(u), so its CDF is
+    // below u; the rank guide_[b + 1] has a bucket above b, so its CDF
+    // is above u. Both follow from bucketOf being monotone and shared
+    // with the constructor, so rounding in u * n can move u to another
+    // bucket but never outside [guide_[b], guide_[b + 1]]. Clamping b
+    // to n_ keeps that true for u >= 1.
+    std::size_t b = std::min<std::size_t>(bucketOf(u), n_);
+    std::uint64_t lo = guide_[b];
+    std::uint64_t hi = std::min<std::uint64_t>(guide_[b + 1], n_ - 1);
     while (lo < hi) {
         std::uint64_t mid = lo + (hi - lo) / 2;
         if (cdf_[mid] < u)
@@ -134,6 +155,17 @@ ZipfSampler::pmf(std::uint64_t rank) const
 {
     recssd_assert(rank < n_, "Zipf pmf rank out of range");
     return rank == 0 ? cdf_[0] : cdf_[rank] - cdf_[rank - 1];
+}
+
+std::shared_ptr<const ZipfSampler>
+ZipfSamplerPool::get(std::uint64_t n, double alpha)
+{
+    for (const auto &s : samplers_) {
+        if (s->universe() == n && s->alpha() == alpha)
+            return s;
+    }
+    samplers_.push_back(std::make_shared<const ZipfSampler>(n, alpha));
+    return samplers_.back();
 }
 
 }  // namespace recssd

@@ -1,7 +1,7 @@
 #include "src/embedding/baseline_backend.h"
 
 #include <algorithm>
-#include <unordered_map>
+#include <bit>
 
 #include "src/common/logging.h"
 #include "src/embedding/synthetic_values.h"
@@ -11,17 +11,40 @@
 namespace recssd
 {
 
+namespace
+{
+
+constexpr std::uint32_t kNoPage = ~std::uint32_t{0};
+
+}  // namespace
+
 struct BaselineSsdSlsBackend::OpState
 {
     EmbeddingTableDesc table;
     std::uint64_t traceId = 0;
-    /** One NVMe read each: a page and the lookups it serves. */
-    struct PageTask
+    /** One NVMe read each: a page and the run of `entries` it serves. */
+    struct Page
     {
-        Lpn lpn;
-        std::vector<std::pair<std::uint32_t, RowId>> entries;
+        Lpn lpn = 0;
+        std::uint32_t first = 0;
+        std::uint32_t count = 0;
     };
-    std::vector<PageTask> pages;
+    /** A lookup the SSD serves: its result sample, its page's index
+     *  in `pages` and its row. */
+    struct Entry
+    {
+        std::uint32_t sample = 0;
+        std::uint32_t page = 0;
+        RowId row = 0;
+    };
+    /** Pages in first-seen order. */
+    std::vector<Page> pages;
+    /** SSD-served lookups grouped by page, in lookup order within a
+     *  page. */
+    std::vector<Entry> entries;
+    /** entries x dim floats: each lookup's vector, extracted when its
+     *  page's DMA lands and accumulated after the extract work. */
+    std::vector<float> staging;
     std::size_t next = 0;
     std::size_t inFlight = 0;
     bool hitWorkPending = false;
@@ -59,22 +82,30 @@ BaselineSsdSlsBackend::run(const SlsOp &op, Done done)
     state->done = std::move(done);
 
     const EmbeddingTableDesc &table = state->table;
-    std::unordered_map<Lpn, std::size_t> page_index;
     std::uint64_t cache_hits = 0;
+    const std::size_t lookups = op.totalLookups();
+    if (options_.coalescePages) {
+        pageIndex_.assign(std::bit_ceil(std::max<std::size_t>(2 * lookups, 16)),
+                          {0, kNoPage});
+    }
+    // SSD-served lookups in lookup order.
+    std::vector<OpState::Entry> misses;
+    misses.reserve(lookups);
+    state->pages.reserve(lookups);
 
     for (std::uint32_t b = 0; b < op.indices.size(); ++b) {
         for (RowId row : op.indices[b]) {
             if (options_.hostCache) {
                 // The cache is shared across shard slices of the same
                 // table, so entries are keyed by global row id.
-                if (const auto *vec = options_.hostCache->get(
+                if (const float *vec = options_.hostCache->get(
                         table.id, table.globalRow(row))) {
                     cacheServed_.inc();
                     ++cache_hits;
                     float *res = state->result.data() +
                                  std::size_t(b) * table.dim;
                     for (std::uint32_t e = 0; e < table.dim; ++e)
-                        res[e] += (*vec)[e];
+                        res[e] += vec[e];
                     continue;
                 }
                 // A real (sequential) operator would have this row
@@ -82,22 +113,35 @@ BaselineSsdSlsBackend::run(const SlsOp &op, Done done)
                 // fetch below populates the cache mid-operation. Fill
                 // the entry now so intra-op reuse hits, exactly as it
                 // would at processing time.
-                options_.hostCache->put(table.id, table.globalRow(row),
-                                        synthetic::vectorOf(table, row));
+                options_.hostCache->fill(
+                    table.id, table.globalRow(row), table.dim,
+                    [&](std::span<float> out) {
+                        synthetic::rowValues(table, row, out);
+                    });
             }
             Lpn lpn = table.lpnOf(row);
-            if (options_.coalescePages) {
-                auto [it, fresh] =
-                    page_index.try_emplace(lpn, state->pages.size());
-                if (fresh)
-                    state->pages.push_back(OpState::PageTask{lpn, {}});
-                state->pages[it->second].entries.emplace_back(b, row);
-            } else {
-                state->pages.push_back(
-                    OpState::PageTask{lpn, {{b, row}}});
-            }
+            std::uint32_t page = options_.coalescePages
+                                     ? pageOf(*state, lpn)
+                                     : addPage(*state, lpn);
+            ++state->pages[page].count;
+            misses.push_back(OpState::Entry{b, page, row});
         }
     }
+
+    // Group the lookups by page (a stable counting sort), so each
+    // page's lookups are one run of `entries`.
+    std::uint32_t first = 0;
+    for (OpState::Page &page : state->pages) {
+        page.first = first;
+        first += page.count;
+        page.count = 0;
+    }
+    state->entries.resize(misses.size());
+    for (const OpState::Entry &miss : misses) {
+        OpState::Page &page = state->pages[miss.page];
+        state->entries[page.first + page.count++] = miss;
+    }
+    state->staging.resize(misses.size() * table.dim);
 
     // The cache-served lookups are ordinary DRAM gathers on the
     // operator's thread.
@@ -151,6 +195,29 @@ BaselineSsdSlsBackend::run(const SlsOp &op, Done done)
     }
 }
 
+std::uint32_t
+BaselineSsdSlsBackend::addPage(OpState &state, Lpn lpn)
+{
+    state.pages.push_back(OpState::Page{lpn, 0, 0});
+    return static_cast<std::uint32_t>(state.pages.size() - 1);
+}
+
+std::uint32_t
+BaselineSsdSlsBackend::pageOf(OpState &state, Lpn lpn)
+{
+    const std::size_t mask = pageIndex_.size() - 1;
+    for (std::size_t b = lpn & mask;; b = (b + 1) & mask) {
+        auto &[key, page] = pageIndex_[b];
+        if (page == kNoPage) {
+            key = lpn;
+            page = addPage(state, lpn);
+            return page;
+        }
+        if (key == lpn)
+            return page;
+    }
+}
+
 void
 BaselineSsdSlsBackend::pump(const std::shared_ptr<OpState> &state,
                             unsigned q)
@@ -161,52 +228,56 @@ BaselineSsdSlsBackend::pump(const std::shared_ptr<OpState> &state,
         state->maybeComplete();
         return;
     }
-    std::size_t task_idx = state->next++;
+    auto task = static_cast<std::uint32_t>(state->next++);
     ++state->inFlight;
 
     pageReads_.inc();
-    const auto &task = state->pages[task_idx];
     driver_.readPage(
-        q, task.lpn,
-        [this, state, task_idx, q](const PageView &view) {
-        const EmbeddingTableDesc &table = state->table;
-        const auto &task = state->pages[task_idx];
-        // Pull every needed vector out of the DMA buffer now; the
-        // extract+accumulate cost is charged per vector.
-        std::vector<std::vector<float>> vecs;
-        vecs.reserve(task.entries.size());
-        std::vector<std::byte> raw(table.vectorBytes());
-        for (auto [b, row] : task.entries) {
-            (void)b;
-            view.copyOut(table.pageOffsetOf(row), raw);
-            std::vector<float> vec(table.dim);
-            for (std::uint32_t e = 0; e < table.dim; ++e)
-                vec[e] = decodeAttr(raw, e, table.attrBytes);
-            vecs.push_back(std::move(vec));
-        }
-        // Extraction runs on the SLS worker thread that owns this
-        // queue, not on the NN cores.
-        Tick work =
-            cpu_.extractCost(table.vectorBytes()) * task.entries.size();
-        SpanId extract_span = invalidSpan;
-        if (Tracer *tracer = tracerOf(eq_)) {
-            extract_span = tracer->begin(tracer->track("host.sls"),
-                                         "extract", Phase::HostCompute,
-                                         state->traceId);
-        }
-        driver_.ioThread(q).acquire(work, [this, state, task_idx, q,
-                                           extract_span,
-                                           vecs = std::move(vecs)]() {
+        q, state->pages[task].lpn,
+        [this, state, task, q](const PageView &view) {
+            extract(state, task, q, view);
+        },
+        state->traceId);
+}
+
+void
+BaselineSsdSlsBackend::extract(const std::shared_ptr<OpState> &state,
+                               std::uint32_t task, unsigned q,
+                               const PageView &view)
+{
+    const EmbeddingTableDesc &table = state->table;
+    const OpState::Page &pg = state->pages[task];
+    // Pull every needed vector out of the DMA buffer now; the
+    // extract+accumulate cost is charged per vector.
+    raw_.resize(table.vectorBytes());
+    for (std::uint32_t i = pg.first; i < pg.first + pg.count; ++i) {
+        view.copyOut(table.pageOffsetOf(state->entries[i].row), raw_);
+        float *vec = state->staging.data() + std::size_t(i) * table.dim;
+        for (std::uint32_t e = 0; e < table.dim; ++e)
+            vec[e] = decodeAttr(raw_, e, table.attrBytes);
+    }
+    // Extraction runs on the SLS worker thread that owns this queue,
+    // not on the NN cores.
+    Tick work = cpu_.extractCost(table.vectorBytes()) * pg.count;
+    SpanId extract_span = invalidSpan;
+    if (Tracer *tracer = tracerOf(eq_)) {
+        extract_span = tracer->begin(tracer->track("host.sls"), "extract",
+                                     Phase::HostCompute, state->traceId);
+    }
+    driver_.ioThread(q).acquire(
+        work, [this, state, task, q, extract_span]() {
             if (Tracer *tracer = tracerOf(eq_))
                 tracer->end(extract_span);
             const EmbeddingTableDesc &table = state->table;
-            const auto &task = state->pages[task_idx];
-            for (std::size_t i = 0; i < task.entries.size(); ++i) {
-                auto [b, row] = task.entries[i];
+            const OpState::Page &pg = state->pages[task];
+            for (std::uint32_t i = pg.first; i < pg.first + pg.count; ++i) {
                 float *res = state->result.data() +
-                             std::size_t(b) * table.dim;
+                             std::size_t(state->entries[i].sample) *
+                                 table.dim;
+                const float *vec =
+                    state->staging.data() + std::size_t(i) * table.dim;
                 for (std::uint32_t e = 0; e < table.dim; ++e)
-                    res[e] += vecs[i][e];
+                    res[e] += vec[e];
                 // (The host cache entry was populated when the fetch
                 // was scheduled; see run().)
             }
@@ -214,8 +285,6 @@ BaselineSsdSlsBackend::pump(const std::shared_ptr<OpState> &state,
             --state->inFlight;
             pump(state, q);
         });
-        },
-        state->traceId);
 }
 
 }  // namespace recssd

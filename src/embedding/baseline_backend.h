@@ -16,7 +16,10 @@
 #ifndef RECSSD_EMBEDDING_BASELINE_BACKEND_H
 #define RECSSD_EMBEDDING_BASELINE_BACKEND_H
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "src/cache/host_embedding_cache.h"
 #include "src/common/event_queue.h"
@@ -58,14 +61,32 @@ class BaselineSsdSlsBackend : public SlsBackend
   private:
     struct OpState;
 
+    /** @{ Planning: the index of a new page, and of `lpn`'s page
+     *  (added on first sight, found through `pageIndex_`). */
+    static std::uint32_t addPage(OpState &state, Lpn lpn);
+    std::uint32_t pageOf(OpState &state, Lpn lpn);
+    /** @} */
+
     /** Advance one worker chain: fetch + process the next page. */
     void pump(const std::shared_ptr<OpState> &state, unsigned q);
+
+    /** Page `task`'s DMA landed: extract its lookups' vectors, then
+     *  charge the extract work and accumulate them. */
+    void extract(const std::shared_ptr<OpState> &state, std::uint32_t task,
+                 unsigned q, const PageView &view);
 
     EventQueue &eq_;
     HostCpu &cpu_;
     UnvmeDriver &driver_;
     QueueAllocator &queues_;
     Options options_;
+
+    /** @{ Scratch reused by every op: the open-addressing (lpn, page)
+     *  index while an op is planned, and one vector's raw bytes while
+     *  a page is extracted. */
+    std::vector<std::pair<Lpn, std::uint32_t>> pageIndex_;
+    std::vector<std::byte> raw_;
+    /** @} */
 
     Counter pageReads_;
     Counter cacheServed_;

@@ -54,12 +54,20 @@ fillVector(const EmbeddingTableDesc &desc, RowId row,
     });
 }
 
+void
+rowValues(const EmbeddingTableDesc &desc, RowId row, std::span<float> out)
+{
+    recssd_assert(out.size() >= desc.dim, "output smaller than vector");
+    const std::uint64_t seed = rowSeed(desc.id, desc.globalRow(row));
+    for (std::uint32_t e = 0; e < desc.dim; ++e)
+        out[e] = static_cast<float>(mix(seed ^ e) & 0xF);
+}
+
 std::vector<float>
 vectorOf(const EmbeddingTableDesc &desc, RowId row)
 {
     std::vector<float> v(desc.dim);
-    for (std::uint32_t e = 0; e < desc.dim; ++e)
-        v[e] = value(desc.id, desc.globalRow(row), e);
+    rowValues(desc, row, v);
     return v;
 }
 

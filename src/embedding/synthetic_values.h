@@ -34,6 +34,10 @@ float value(std::uint32_t table_id, RowId row, std::uint32_t element);
 void fillVector(const EmbeddingTableDesc &desc, RowId row,
                 std::span<std::byte> out);
 
+/** Write a row's `dim` fp32 values into `out`. */
+void rowValues(const EmbeddingTableDesc &desc, RowId row,
+               std::span<float> out);
+
 /** Decoded fp32 vector of a row. */
 std::vector<float> vectorOf(const EmbeddingTableDesc &desc, RowId row);
 

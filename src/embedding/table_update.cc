@@ -30,7 +30,7 @@ void
 updateRow(UnvmeDriver &driver, QueueAllocator &queues,
           const EmbeddingTableDesc &table, RowId row,
           std::span<const float> values, std::function<void()> done,
-          std::uint64_t trace_id)
+          std::uint64_t trace_id, HostEmbeddingCache *host_cache)
 {
     recssd_assert(row < table.rows, "row out of range");
     recssd_assert(values.size() == table.dim,
@@ -46,7 +46,7 @@ updateRow(UnvmeDriver &driver, QueueAllocator &queues,
                                   Phase::HostQueueWait, trace_id);
     }
     queues.acquire([&driver, &queues, &eq, desc, row, lpn, wait_span,
-                    trace_id, vals = std::move(vals),
+                    trace_id, host_cache, vals = std::move(vals),
                     done = std::move(done)](unsigned queue) mutable {
         RECSSD_CAPTURES_MAPPING("driver/queues/eq are the caller's "
                                 "long-lived host objects; applyUpdate's "
@@ -54,7 +54,11 @@ updateRow(UnvmeDriver &driver, QueueAllocator &queues,
                                 "update completion");
         if (Tracer *tracer = tracerOf(eq))
             tracer->end(wait_span);
-        auto finish = [&queues, queue, done = std::move(done)]() {
+        auto finish = [&queues, queue, host_cache, id = desc.id,
+                       global_row = desc.globalRow(row), vals,
+                       done = std::move(done)]() {
+            if (host_cache)
+                host_cache->applyUpdate(id, global_row, vals);
             queues.release(queue);
             if (done)
                 done();

@@ -17,6 +17,7 @@
 #include <functional>
 #include <span>
 
+#include "src/cache/host_embedding_cache.h"
 #include "src/embedding/embedding_table.h"
 #include "src/host/queue_allocator.h"
 #include "src/host/unvme_driver.h"
@@ -41,11 +42,15 @@ namespace recssd
  *        attribute size).
  * @param trace_id Owning trace request (0 = none); tags every span the
  *        update produces down the stack.
+ * @param host_cache The host LRU the baseline backend reads through,
+ *        if any: on completion it takes the new values (write-update),
+ *        so it never serves the row's older content.
  */
 void updateRow(UnvmeDriver &driver, QueueAllocator &queues,
                const EmbeddingTableDesc &table, RowId row,
                std::span<const float> values, std::function<void()> done,
-               std::uint64_t trace_id = 0);
+               std::uint64_t trace_id = 0,
+               HostEmbeddingCache *host_cache = nullptr);
 
 }  // namespace recssd
 

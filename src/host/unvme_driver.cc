@@ -120,57 +120,65 @@ UnvmeDriver::readPage(unsigned queue, Lpn lpn, ReadDone done,
 {
     occupy(queue);
     commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Read;
-    cmd.slba = lpn;
-    cmd.traceId = trace_id;
+    ReadCmd read;
+    read.cmd.opcode = NvmeOpcode::Read;
+    read.cmd.slba = lpn;
+    read.cmd.traceId = trace_id;
+    read.queue = queue;
+    read.done = std::move(done);
     // Observability: the outer span is the command's full residence on
     // this queue (submit CPU -> device -> completion poll); the inner
     // submit/poll spans mark the io-thread occupancy at each end.
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_)) {
         TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "read", Phase::DeviceWait, trace_id);
-        submit_span =
+        read.devSpan =
+            tracer->begin(track, "read", Phase::DeviceWait, trace_id);
+        read.span =
             tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
     }
     // Submission burns host CPU, then the device takes over; on
     // completion the polling thread burns CPU again before the
     // caller's continuation runs.
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitRead(entry, [this, queue, cid = entry.cid, dev_span,
-                                     trace_id, done = std::move(done)](
-                                        const PageView &view) {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, view, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        // The view binds a physical page the FTL resolved
-                        // (and fenced) at service time; log-structured
-                        // writes allocate fresh ppns, so the bytes under
-                        // an outstanding view never change across the
-                        // driver's completion-poll delay.
-                        RECSSD_DEFERRED_SAFE(
-                            "view pins an immutable physical page");
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done(view);
-                    });
-            });
-        });
+    std::uint32_t op = reads_.put(std::move(read));
+    ioThread(queue).acquire(cpu_.params().submitCost,
+                            [this, op]() { submitRead(op); });
+}
+
+void
+UnvmeDriver::submitRead(std::uint32_t op)
+{
+    ReadCmd &read = reads_[op];
+    endSpan(eq_, read.span);
+    NvmeCommand entry = enqueue(read.queue, read.cmd);
+    read.cid = entry.cid;
+    ctrl_.submitRead(entry, [this, op](const PageView &view) {
+        ReadCmd &read = reads_[op];
+        read.view = view;
+        read.span = invalidSpan;
+        if (Tracer *tracer = tracerOf(eq_)) {
+            read.span =
+                tracer->begin(tracer->track(queueTrackNames_[read.queue]),
+                              "poll", Phase::DriverSubmit, read.cmd.traceId);
+        }
+        ioThread(read.queue).acquire(cpu_.params().completionCost,
+                                     [this, op]() { finishRead(op); });
+    });
+}
+
+void
+UnvmeDriver::finishRead(std::uint32_t op)
+{
+    ReadCmd read = reads_.take(op);
+    // The view binds a physical page the FTL resolved (and fenced) at
+    // service time; log-structured writes allocate fresh ppns, so the
+    // bytes under an outstanding view never change across the driver's
+    // completion-poll delay.
+    RECSSD_DEFERRED_SAFE("view pins an immutable physical page");
+    endSpan(eq_, read.span);
+    consumeCompletion(read.queue, read.cid);
+    release(read.queue);
+    endSpan(eq_, read.devSpan);
+    read.done(read.view);
 }
 
 void

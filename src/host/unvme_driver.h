@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/common/stats.h"
 #include "src/host/host_cpu.h"
 #include "src/ndp/sls_config.h"
@@ -41,7 +42,7 @@ namespace recssd
 class UnvmeDriver
 {
   public:
-    using ReadDone = std::function<void(const PageView &)>;
+    using ReadDone = InlineFunction<void(const PageView &)>;
     using Done = std::function<void()>;
     using SlsResultDone =
         std::function<void(std::shared_ptr<std::vector<std::byte>>)>;
@@ -137,6 +138,32 @@ class UnvmeDriver
     }
 
   private:
+    /**
+     * In-flight state of one page read. The chain's continuations
+     * capture only `this` and the record index, so they fit inline,
+     * and the caller's `done` is moved once in and once out.
+     */
+    struct ReadCmd
+    {
+        NvmeCommand cmd;
+        unsigned queue = 0;
+        /** Ring-assigned command id, once submitted. */
+        std::uint16_t cid = 0;
+        /** Open submit span, then the open poll span. */
+        SpanId span = invalidSpan;
+        /** The command's whole residence on the queue. */
+        SpanId devSpan = invalidSpan;
+        /** The page the completion hands back. */
+        PageView view;
+        ReadDone done;
+    };
+
+    /** @{ Read chain phases after the submit CPU cost: hand the command
+     *  to the controller, then run `done` after the completion poll. */
+    void submitRead(std::uint32_t op);
+    void finishRead(std::uint32_t op);
+    /** @} */
+
     /** Mark the queue busy; panics on concurrent use (sync API). */
     void occupy(unsigned queue);
     void release(unsigned queue);
@@ -162,6 +189,7 @@ class UnvmeDriver
     std::vector<std::string> queueTrackNames_;
     std::vector<std::unique_ptr<SerialResource>> ioThreads_;
     std::vector<std::unique_ptr<NvmeQueuePair>> queuePairs_;
+    RecordPool<ReadCmd> reads_;
     std::uint64_t nextRequestId_ = 1;
     unsigned rrNext_ = 0;  ///< round-robin rotor for pickQueue()
 

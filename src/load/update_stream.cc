@@ -24,9 +24,10 @@ UpdateStream::UpdateStream(const UpdateStreamSpec &spec,
     }
     meanGapNs_ = 1e9 / spec_.rate;
     if (spec_.skew > 0.0) {
+        ZipfSamplerPool pool;
         zipf_.reserve(tableRows_.size());
         for (std::uint64_t rows : tableRows_)
-            zipf_.push_back(std::make_unique<ZipfSampler>(rows, spec_.skew));
+            zipf_.push_back(pool.get(rows, spec_.skew));
     }
 }
 

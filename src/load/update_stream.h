@@ -86,8 +86,9 @@ class UpdateStream
     std::vector<std::uint64_t> tableRows_;
     std::vector<std::uint64_t> cumRows_;  ///< inclusive prefix sums
     Rng rng_;
-    /** Per-table samplers, built lazily only when skew > 0. */
-    std::vector<std::unique_ptr<ZipfSampler>> zipf_;
+    /** Per-table samplers, built only when skew > 0; tables with the
+     *  same row count share one. */
+    std::vector<std::shared_ptr<const ZipfSampler>> zipf_;
     double meanGapNs_;
     Tick clock_ = 0;
     std::uint64_t seq_ = 0;

@@ -172,9 +172,10 @@ runServeTenants(System &sys, const RunnerOptions &options,
         if (spec.updates.enabled()) {
             UpdateStreamSpec us = spec.updates;
             us.tenant = t;
+            ModelRunner &runner = *(*runners)[tenantRunner[t]];
             m.updates = std::make_shared<UpdateFlusher>(
-                sys, (*runners)[tenantRunner[t]]->ssdTableDescs(), us,
-                tenantSeed(config.seed, t, spec.seed));
+                sys, runner.ssdTableDescs(), us,
+                tenantSeed(config.seed, t, spec.seed), runner.hostCache());
             m.updates->setAdmission([qos, t](Tick now) {
                 return qos->chargeAux(t, now);
             });

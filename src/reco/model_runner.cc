@@ -75,7 +75,9 @@ ModelRunner::ModelRunner(System &sys, const ModelConfig &model,
     : sys_(sys), model_(model), options_(options),
       denseRng_(options.seed ^ 0xDEADBEEF)
 {
-    // Instantiate tables with hybrid placement.
+    // Instantiate tables with hybrid placement. Same-sized tables draw
+    // from one shared Zipf table.
+    ZipfSamplerPool zipfs;
     for (const auto &group : model_.tables) {
         for (unsigned i = 0; i < group.count; ++i) {
             TableRt rt;
@@ -95,7 +97,7 @@ ModelRunner::ModelRunner(System &sys, const ModelConfig &model,
             TraceSpec spec = options_.trace;
             spec.universe = group.rows;
             spec.seed = options_.seed * 7919 + rt.desc.id * 104729 + 1;
-            rt.gen = std::make_unique<TraceGenerator>(spec);
+            rt.gen = std::make_unique<TraceGenerator>(spec, &zipfs);
             tables_.push_back(std::move(rt));
         }
     }

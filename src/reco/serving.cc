@@ -299,7 +299,8 @@ runServe(ModelRunner &runner, const ServeConfig &config)
     WriteSnap writes_before;
     if (config.updates.enabled()) {
         updates = std::make_shared<UpdateFlusher>(
-            sys, runner.ssdTableDescs(), config.updates, config.seed);
+            sys, runner.ssdTableDescs(), config.updates, config.seed,
+            runner.hostCache());
         writes_before = snapWrites();
     }
 

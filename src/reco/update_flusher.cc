@@ -15,8 +15,10 @@ namespace recssd
 UpdateFlusher::UpdateFlusher(System &sys,
                              std::vector<EmbeddingTableDesc> tables,
                              const UpdateStreamSpec &spec,
-                             std::uint64_t seed)
-    : sys_(sys), tables_(std::move(tables)), spec_(spec)
+                             std::uint64_t seed,
+                             HostEmbeddingCache *host_cache)
+    : sys_(sys), tables_(std::move(tables)), spec_(spec),
+      hostCache_(host_cache)
 {
     recssd_assert(spec_.enabled(), "update flusher needs an enabled spec");
     recssd_assert(!tables_.empty(),
@@ -171,7 +173,7 @@ UpdateFlusher::dispatchOne()
             ++replicaWrites_;
             updateRow(sys_.driver(target.shard), sys_.queues(target.shard),
                       *target.desc, target.localRow, values, join,
-                      trace_id);
+                      trace_id, hostCache_);
         }
     }
     state->issued = true;

@@ -27,6 +27,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/cache/host_embedding_cache.h"
 #include "src/core/system.h"
 #include "src/embedding/embedding_table.h"
 #include "src/load/latency_recorder.h"
@@ -44,9 +45,12 @@ class UpdateFlusher
      *        `UpdateDesc::tableIdx`.
      * @param seed Serve seed; combined with `spec.seed` so the stream
      *        is independent of the query-arrival Rng.
+     * @param host_cache The runner's host LRU, if any; every applied
+     *        row update refreshes it (see `updateRow`).
      */
     UpdateFlusher(System &sys, std::vector<EmbeddingTableDesc> tables,
-                  const UpdateStreamSpec &spec, std::uint64_t seed);
+                  const UpdateStreamSpec &spec, std::uint64_t seed,
+                  HostEmbeddingCache *host_cache = nullptr);
 
     /**
      * Generate the whole stream up to `horizon` and schedule each
@@ -92,6 +96,7 @@ class UpdateFlusher
     System &sys_;
     std::vector<EmbeddingTableDesc> tables_;
     UpdateStreamSpec spec_;
+    HostEmbeddingCache *hostCache_;
 
     std::deque<UpdateDesc> pending_;
     unsigned inFlight_ = 0;

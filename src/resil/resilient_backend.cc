@@ -190,11 +190,11 @@ ResilientSlsBackend::degradeSub(const std::shared_ptr<ResilOp> &rop,
     const EmbeddingTableDesc &d = *sub.descs.front();
     for (std::size_t b = 0; b < sub.indices.size(); ++b) {
         for (RowId local : sub.indices[b]) {
-            const auto *vec = hostCache_->get(d.id, d.rowBase + local);
+            const float *vec = hostCache_->get(d.id, d.rowBase + local);
             if (!vec)
                 continue;
             for (std::uint32_t e = 0; e < d.dim; ++e)
-                rop->result[b * rop->dim + e] += (*vec)[e];
+                rop->result[b * rop->dim + e] += vec[e];
         }
     }
 }

@@ -22,14 +22,15 @@ uniqueFractionForK(double k)
     return 1.0 - a * std::exp(-b * k);
 }
 
-TraceGenerator::TraceGenerator(const TraceSpec &spec)
+TraceGenerator::TraceGenerator(const TraceSpec &spec, ZipfSamplerPool *zipfs)
     : spec_(spec), rng_(spec.seed)
 {
     recssd_assert(spec_.universe > 0, "empty id universe");
     switch (spec_.kind) {
       case TraceKind::Zipf:
-        zipf_ = std::make_unique<ZipfSampler>(spec_.universe,
-                                              spec_.zipfAlpha);
+        zipf_ = zipfs ? zipfs->get(spec_.universe, spec_.zipfAlpha)
+                      : std::make_shared<const ZipfSampler>(
+                            spec_.universe, spec_.zipfAlpha);
         break;
       case TraceKind::LocalityK:
         pNew_ = uniqueFractionForK(spec_.k);

@@ -64,7 +64,11 @@ double uniqueFractionForK(double k);
 class TraceGenerator
 {
   public:
-    explicit TraceGenerator(const TraceSpec &spec);
+    /** @param zipfs Where a Zipf trace takes its sampler; generators
+     *  given the same pool share one table per (universe, alpha).
+     *  Without a pool the generator builds its own. */
+    explicit TraceGenerator(const TraceSpec &spec,
+                            ZipfSamplerPool *zipfs = nullptr);
 
     /** Next row id (standalone draws commit immediately). */
     RowId next();
@@ -89,7 +93,7 @@ class TraceGenerator
 
     TraceSpec spec_;
     Rng rng_;
-    std::unique_ptr<ZipfSampler> zipf_;
+    std::shared_ptr<const ZipfSampler> zipf_;
     std::uint64_t cursor_ = 0;
     double pNew_ = 1.0;
     bool inRequest_ = false;

@@ -1,17 +1,19 @@
 /**
  * @file
- * Allocation regression test for the NDP page pipeline.
+ * Allocation regression tests for the NDP page pipeline and the
+ * conventional-SSD lookup path.
  *
  * This binary replaces the global operator new (plain and nothrow, with
- * the matching deletes) with a counting one and serves one warmed,
- * single-SSD NDP SLS operation that reads well over a thousand flash
- * pages. Per-request allocations (the config payload,
- * the result vectors and bytes, the request's own bookkeeping) are
- * fine; per-page and per-event ones are not. The kernel's callback
- * slots, the flash/FTL/NVMe/NDP operation records and the spill pool
- * all grow to their high-water mark during the warm-up op and are
- * reused after it, so the measured op must stay far below one
- * allocation per ten executed events.
+ * the matching deletes) with a counting one and serves warmed,
+ * single-SSD SLS operations that read hundreds to thousands of flash
+ * pages. Per-request allocations (the config payload, the result
+ * vectors and bytes, the request's own bookkeeping and page plan) are
+ * fine; per-page, per-lookup and per-event ones are not. The kernel's
+ * callback slots, the flash/FTL/NVMe/NDP/driver operation records, the
+ * spill pool and the host cache's row slots all grow to their
+ * high-water mark during the warm-up and are reused after it, so a
+ * measured op must stay far below one allocation per ten executed
+ * events.
  */
 
 #include <gtest/gtest.h>
@@ -20,8 +22,10 @@
 #include <cstdlib>
 #include <new>
 
+#include "src/embedding/baseline_backend.h"
 #include "src/embedding/ndp_backend.h"
 #include "src/embedding/synthetic_values.h"
+#include "src/trace/trace_gen.h"
 #include "tests/test_helpers.h"
 
 namespace
@@ -164,6 +168,67 @@ TEST(AllocRegression, WarmNdpOpAllocatesLessThanOncePerTenEvents)
     RecordProperty("events", static_cast<int>(events));
     EXPECT_LT(per_event, 0.1) << allocs << " allocations over " << events
                               << " events (" << pages << " flash pages)";
+}
+
+TEST(AllocRegression, WarmBaselineOpAllocatesLessThanOncePerTenEvents)
+{
+    System sys(test::smallSystem());
+    // The baseline workload's shape: one vector per page, a 2048-row
+    // host LRU and Zipf(1.05) rows, so most lookups hit the cache and
+    // the rest are one NVMe read each.
+    EmbeddingTableDesc table = sys.installTable(100'000, 32);
+    HostEmbeddingCache cache(2048);
+    BaselineSsdSlsBackend::Options opt;
+    opt.hostCache = &cache;
+    BaselineSsdSlsBackend base(sys.eq(), sys.cpu(), sys.driver(),
+                               sys.queues(), opt);
+    TraceSpec spec;
+    spec.kind = TraceKind::Zipf;
+    spec.universe = table.rows;
+    spec.zipfAlpha = 1.05;
+    spec.seed = 5;
+    TraceGenerator gen(spec);
+    auto nextOp = [&]() {
+        SlsOp op;
+        op.table = &table;
+        op.indices = gen.nextBatch(8, 80);
+        return op;
+    };
+    auto serve = [&](const SlsOp &op) {
+        SlsResult out;
+        bool done = false;
+        base.run(op, [&](SlsResult r) {
+            out = std::move(r);
+            done = true;
+        });
+        sys.run();
+        EXPECT_TRUE(done);
+        return out;
+    };
+
+    SlsOp warm = nextOp();
+    EXPECT_EQ(serve(warm), synthetic::expectedSls(table, warm.indices));
+
+    SlsOp measured = nextOp();
+    SlsResult expected = synthetic::expectedSls(table, measured.indices);
+    std::uint64_t reads_before = base.pageReadsIssued();
+    std::uint64_t hits_before = cache.hits();
+    std::uint64_t events_before = sys.eq().executed();
+    std::uint64_t allocs_before = allocations;
+    SlsResult got = serve(measured);
+    std::uint64_t allocs = allocations - allocs_before;
+    std::uint64_t events = sys.eq().executed() - events_before;
+    std::uint64_t reads = base.pageReadsIssued() - reads_before;
+
+    EXPECT_EQ(got, expected);
+    ASSERT_GE(reads, 100u) << "the op must exercise the page path";
+    ASSERT_GE(cache.hits() - hits_before, 100u)
+        << "the op must exercise the host cache";
+    double per_event = static_cast<double>(allocs) / events;
+    RecordProperty("allocations", static_cast<int>(allocs));
+    RecordProperty("events", static_cast<int>(events));
+    EXPECT_LT(per_event, 0.1) << allocs << " allocations over " << events
+                              << " events (" << reads << " page reads)";
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <map>
 #include <unordered_map>
 
@@ -89,6 +90,160 @@ TEST(LruCache, MatchesReferenceModel)
     }
 }
 
+/** The list + hash-map LRU that LruCache replaced, kept as the
+ *  reference for its flat-array rewrite. */
+class ListLru
+{
+  public:
+    explicit ListLru(std::size_t capacity) : capacity_(capacity) {}
+
+    std::uint64_t *
+    get(std::uint64_t key)
+    {
+        auto it = map_.find(key);
+        if (it == map_.end()) {
+            ++misses;
+            return nullptr;
+        }
+        order_.splice(order_.begin(), order_, it->second);
+        ++hits;
+        return &it->second->second;
+    }
+
+    bool contains(std::uint64_t key) const { return map_.contains(key); }
+
+    const std::uint64_t *
+    peek(std::uint64_t key) const
+    {
+        auto it = map_.find(key);
+        return it == map_.end() ? nullptr : &it->second->second;
+    }
+
+    void
+    put(std::uint64_t key, std::uint64_t value)
+    {
+        auto it = map_.find(key);
+        if (it != map_.end()) {
+            it->second->second = value;
+            order_.splice(order_.begin(), order_, it->second);
+            return;
+        }
+        if (map_.size() >= capacity_) {
+            map_.erase(order_.back().first);
+            order_.pop_back();
+            ++evictions;
+        }
+        order_.emplace_front(key, value);
+        map_[key] = order_.begin();
+    }
+
+    std::size_t size() const { return map_.size(); }
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::uint64_t evictions = 0;
+
+  private:
+    using Order = std::list<std::pair<std::uint64_t, std::uint64_t>>;
+    std::size_t capacity_;
+    Order order_;
+    std::unordered_map<std::uint64_t, Order::iterator> map_;
+};
+
+class LruDifferentialTest : public ::testing::TestWithParam<std::size_t>
+{
+};
+
+TEST_P(LruDifferentialTest, MatchesListLruWithCollidingKeys)
+{
+    const std::size_t capacity = GetParam();
+    LruCache<std::uint64_t, std::uint64_t> cache(capacity);
+    ListLru ref(capacity);
+
+    // Keys in clusters that share a home bucket, some at the top of
+    // the index so probe runs wrap, plus scattered keys: evictions then
+    // delete from the middle of long probe runs, which is what the
+    // backward shift has to get right. The index has the smallest
+    // power of two >= 2 x capacity buckets.
+    std::size_t index_size = 1;
+    while (index_size < 2 * capacity)
+        index_size *= 2;
+    const std::size_t homes[] = {0, 1, index_size / 2, index_size - 1};
+    const std::size_t cluster = capacity / 2 + 3;
+    std::vector<std::size_t> per_home(index_size, 0);
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 0; k < (cluster + 8) * index_size; ++k) {
+        std::size_t home = cache.homeOf(k);
+        ASSERT_LT(home, index_size);
+        bool clustered = std::find(std::begin(homes), std::end(homes),
+                                   home) != std::end(homes);
+        if ((clustered && per_home[home] < cluster) ||
+            (!clustered && k % 7 == 0 && per_home[home] == 0)) {
+            ++per_home[home];
+            keys.push_back(k);
+        }
+    }
+    std::size_t collisions = 0;
+    for (std::size_t same : per_home)
+        collisions += same > 1 ? same - 1 : 0;
+    ASSERT_GT(keys.size(), capacity + 1);
+    ASSERT_GT(collisions, capacity / 2);
+
+    // Every key the reference holds is reachable with its value, and
+    // no other key is: a broken backward shift strands keys behind a
+    // hole or leaves stale index entries.
+    auto expectSameContents = [&](int step) {
+        for (std::uint64_t key : keys) {
+            ASSERT_EQ(cache.contains(key), ref.contains(key))
+                << "key " << key << " step " << step;
+            if (ref.contains(key)) {
+                ASSERT_EQ(*cache.peek(key), *ref.peek(key)) << key;
+            }
+        }
+    };
+    const int check_every =
+        static_cast<int>(std::min<std::size_t>(capacity, 64));
+    Rng rng(capacity * 7 + 1);
+    for (int step = 0; step < 40'000; ++step) {
+        std::uint64_t key = keys[rng.uniformInt(keys.size())];
+        switch (rng.uniformInt(4)) {
+          case 0: {
+            std::uint64_t *got = cache.get(key);
+            std::uint64_t *want = ref.get(key);
+            ASSERT_EQ(got != nullptr, want != nullptr) << "step " << step;
+            if (want) {
+                ASSERT_EQ(*got, *want) << "step " << step;
+            }
+            break;
+          }
+          case 1:
+            ASSERT_EQ(cache.contains(key), ref.contains(key))
+                << "step " << step;
+            break;
+          default: {
+            std::uint64_t value = rng();
+            cache.put(key, value);
+            ref.put(key, value);
+            break;
+          }
+        }
+        ASSERT_EQ(cache.size(), ref.size()) << "step " << step;
+        if (step % check_every == 0) {
+            ASSERT_NO_FATAL_FAILURE(expectSameContents(step));
+        }
+    }
+    EXPECT_EQ(cache.hits(), ref.hits);
+    EXPECT_EQ(cache.misses(), ref.misses);
+    EXPECT_EQ(cache.evictions(), ref.evictions);
+    EXPECT_GT(ref.evictions, 0u);
+    expectSameContents(40'000);
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, LruDifferentialTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{2},
+                                           std::size_t{7},
+                                           std::size_t{2048}));
+
 class SetAssocLruTest : public ::testing::TestWithParam<unsigned>
 {
 };
@@ -160,13 +315,16 @@ TEST(PageCacheDeathTest, BadGeometryPanics)
 TEST(HostEmbeddingCache, PerTableIsolation)
 {
     HostEmbeddingCache cache(2);
-    cache.put(0, 5, {1.0f});
-    cache.put(1, 5, {2.0f});
-    EXPECT_EQ((*cache.get(0, 5))[0], 1.0f);
-    EXPECT_EQ((*cache.get(1, 5))[0], 2.0f);
+    auto put = [&cache](std::uint32_t table, RowId row, float v) {
+        cache.fill(table, row, 1, [v](std::span<float> out) { out[0] = v; });
+    };
+    put(0, 5, 1.0f);
+    put(1, 5, 2.0f);
+    EXPECT_EQ(cache.get(0, 5)[0], 1.0f);
+    EXPECT_EQ(cache.get(1, 5)[0], 2.0f);
     // Capacity is per table: filling table 0 leaves table 1 alone.
-    cache.put(0, 6, {3.0f});
-    cache.put(0, 7, {4.0f});  // evicts row 5 of table 0
+    put(0, 6, 3.0f);
+    put(0, 7, 4.0f);  // evicts row 5 of table 0
     EXPECT_EQ(cache.get(0, 5), nullptr);
     EXPECT_NE(cache.get(1, 5), nullptr);
 }
@@ -175,7 +333,7 @@ TEST(HostEmbeddingCache, AggregatedStats)
 {
     HostEmbeddingCache cache(4);
     cache.get(0, 1);
-    cache.put(0, 1, {1.0f});
+    cache.fill(0, 1, 1, [](std::span<float> out) { out[0] = 1.0f; });
     cache.get(0, 1);
     cache.get(1, 9);
     EXPECT_EQ(cache.hits(), 1u);

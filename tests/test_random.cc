@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "src/common/random.h"
+#include "src/trace/trace_gen.h"
 
 namespace recssd
 {
@@ -149,6 +151,129 @@ TEST_P(ZipfAlphaTest, EmpiricalTopRankFrequencyTracksPmf)
 
 INSTANTIATE_TEST_SUITE_P(Alphas, ZipfAlphaTest,
                          ::testing::Values(0.5, 0.8, 1.0, 1.2, 1.5));
+
+/** The sampler's CDF, built exactly as ZipfSampler builds it. */
+std::vector<double>
+referenceCdf(std::uint64_t n, double alpha)
+{
+    std::vector<double> cdf(n);
+    double sum = 0.0;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        sum += 1.0 / std::pow(static_cast<double>(i + 1), alpha);
+        cdf[i] = sum;
+    }
+    for (auto &v : cdf)
+        v /= sum;
+    return cdf;
+}
+
+/** The full-range binary search ZipfSampler used before its guide
+ *  table: the first rank whose CDF is >= u. */
+std::uint64_t
+referenceRank(const std::vector<double> &cdf, double u)
+{
+    std::uint64_t lo = 0;
+    std::uint64_t hi = cdf.size() - 1;
+    while (lo < hi) {
+        std::uint64_t mid = lo + (hi - lo) / 2;
+        if (cdf[mid] < u)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+struct ZipfShape
+{
+    std::uint64_t n;
+    double alpha;
+};
+
+class ZipfRankOfTest : public ::testing::TestWithParam<ZipfShape>
+{
+};
+
+TEST_P(ZipfRankOfTest, MatchesFullRangeSearchEverywhere)
+{
+    const auto [n, alpha] = GetParam();
+    ZipfSampler zipf(n, alpha);
+    const std::vector<double> cdf = referenceCdf(n, alpha);
+    ASSERT_EQ(zipf.pmf(0), cdf[0]) << "reference CDF differs";
+
+    std::uint64_t mismatches = 0;
+    double first_mismatch = 0.0;
+    auto check = [&](double u) {
+        if (zipf.rankOf(u) != referenceRank(cdf, u) && mismatches++ == 0)
+            first_mismatch = u;
+    };
+    // Every CDF boundary and its neighbours on both sides, where an
+    // off-by-one bucket would show.
+    check(0.0);
+    check(std::nextafter(1.0, 0.0));
+    for (double c : cdf) {
+        check(c);
+        check(std::nextafter(c, 0.0));
+        check(std::nextafter(c, 2.0));
+    }
+    // Random draws, exactly as sample() makes them.
+    Rng rng(n * 31 + static_cast<std::uint64_t>(alpha * 100));
+    Rng same = rng;
+    for (int i = 0; i < 60'000; ++i) {
+        double u = rng.uniformDouble();
+        check(u);
+        ASSERT_EQ(zipf.sample(same), zipf.rankOf(u));
+    }
+    EXPECT_EQ(mismatches, 0u) << "first at u=" << first_mismatch;
+}
+
+std::vector<ZipfShape>
+rankOfShapes()
+{
+    std::vector<ZipfShape> out;
+    for (std::uint64_t n : {1ull, 2ull, 3ull, 1000ull, 100'000ull}) {
+        for (double alpha : {0.5, 1.05, 2.0, 3.0})
+            out.push_back(ZipfShape{n, alpha});
+    }
+    return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ZipfRankOfTest, ::testing::ValuesIn(rankOfShapes()),
+    [](const ::testing::TestParamInfo<ZipfShape> &info) {
+        return "n" + std::to_string(info.param.n) + "_alpha" +
+               std::to_string(static_cast<int>(info.param.alpha * 100));
+    });
+
+TEST(Zipf, PoolSharesOneSamplerPerShape)
+{
+    ZipfSamplerPool pool;
+    auto a = pool.get(1000, 1.05);
+    EXPECT_EQ(pool.get(1000, 1.05), a);
+    EXPECT_NE(pool.get(1000, 0.8), a);
+    EXPECT_NE(pool.get(2000, 1.05), a);
+}
+
+TEST(Zipf, GeneratorsSharingOneSamplerDrawPrivateStreams)
+{
+    // Two generators drawing from one pooled table, interleaved, each
+    // produce exactly the stream of a generator with its own table.
+    TraceSpec spec;
+    spec.kind = TraceKind::Zipf;
+    spec.universe = 5000;
+    spec.zipfAlpha = 1.05;
+    ZipfSamplerPool pool;
+    TraceSpec other = spec;
+    other.seed = spec.seed + 1;
+    TraceGenerator shared_a(spec, &pool);
+    TraceGenerator shared_b(other, &pool);
+    TraceGenerator private_a(spec);
+    TraceGenerator private_b(other);
+    for (int i = 0; i < 20'000; ++i) {
+        ASSERT_EQ(shared_a.next(), private_a.next()) << "draw " << i;
+        ASSERT_EQ(shared_b.next(), private_b.next()) << "draw " << i;
+    }
+}
 
 TEST(ZipfDeathTest, EmptyUniversePanics)
 {

@@ -19,6 +19,8 @@
  *    engine's torn-gather invariant catches it.
  *  - Replica convergence: with 2-way replication every replica
  *    serves the updated vector after the fan-out write.
+ *  - Host-cache coherence: after a mixed serve on the baseline backend,
+ *    the host LRU returns exactly what the SSD holds for every row.
  *  - Determinism: mixed read-write serve runs are a pure function of
  *    their seed (byte-identical stats JSON), audit-on runs included;
  *    a zero-rate update spec leaves artifacts byte-identical to a
@@ -522,6 +524,73 @@ TEST(UpdateConsistency, ReplicatedWritesConvergeOnEveryDevice)
         sys.run();
         EXPECT_EQ(result, fresh) << "shard " << t.shard;
     }
+}
+
+// ---------------------------------------------------------------------------
+// Host LRU coherence under a live update stream.
+
+TEST(UpdateConsistency, BaselineHostCacheMatchesTheSsdAfterMixedServe)
+{
+    System sys(test::smallSystem());
+    ModelConfig model;
+    model.name = "hot";
+    model.tables = {TableGroup{2, 4'000, 8, 16}};
+    model.denseInputs = 8;
+    model.bottomMlp = {16, 8};
+    model.topMlp = {32, 1};
+    model.embeddingDominated = true;
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::BaselineSsd;
+    opt.forceAllTablesOnSsd = true;
+    opt.hostLruCache = true;
+    opt.hostCacheEntries = 512;
+    opt.trace.kind = TraceKind::Zipf;
+    opt.trace.zipfAlpha = 1.05;
+    ModelRunner runner(sys, model, opt);
+
+    // Skewed reads and skewed updates: the hot rows are both cached
+    // and rewritten, in both orders, while the serve runs.
+    ServeConfig scfg;
+    scfg.arrivals.qps = 300.0;
+    scfg.shape.minBatch = 4;
+    scfg.shape.maxBatch = 4;
+    scfg.queries = 40;
+    scfg.seed = 20261017;
+    scfg.updates.rate = 20'000.0;
+    scfg.updates.skew = 1.05;
+    ServeStats stats = runServe(runner, scfg);
+    ASSERT_GT(stats.update.applied, 100u);
+    HostEmbeddingCache &cache = *runner.hostCache();
+    ASSERT_GT(cache.hits(), 0u);
+
+    // Every row, read once through the runner's cached backend and once
+    // straight off the drive, must agree. The hot rows are cached; the
+    // cached read goes first so a miss fills before the repeat hits.
+    BaselineSsdSlsBackend uncached(sys.eq(), sys.cpu(), sys.driver(),
+                                   sys.queues(),
+                                   BaselineSsdSlsBackend::Options{});
+    SlsBackend &cached = *runner.shardedBackend();
+    auto serve = [&sys](SlsBackend &backend, const SlsOp &op) {
+        SlsResult out;
+        backend.run(op, [&out](SlsResult r) { out = std::move(r); });
+        sys.run();
+        return out;
+    };
+    std::uint64_t hits_before = cache.hits();
+    for (const EmbeddingTableDesc &table : runner.ssdTableDescs()) {
+        for (RowId first = 0; first < table.rows; first += 200) {
+            SlsOp op;
+            op.table = &table;
+            for (RowId row = first; row < std::min<RowId>(first + 200,
+                                                          table.rows);
+                 ++row)
+                op.indices.push_back({row, row});
+            SlsResult want = serve(uncached, op);
+            ASSERT_EQ(serve(cached, op), want)
+                << "table " << table.id << " rows " << first << "+";
+        }
+    }
+    EXPECT_GT(cache.hits() - hits_before, 1000u);
 }
 
 // ---------------------------------------------------------------------------

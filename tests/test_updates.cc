@@ -31,11 +31,12 @@ class UpdateTest : public ::testing::Test
 
     void
     update(const EmbeddingTableDesc &table, RowId row,
-           const std::vector<float> &values)
+           const std::vector<float> &values,
+           HostEmbeddingCache *host_cache = nullptr)
     {
         bool done = false;
         updateRow(sys_->driver(), sys_->queues(), table, row, values,
-                  [&]() { done = true; });
+                  [&]() { done = true; }, 0, host_cache);
         sys_->run();
         ASSERT_TRUE(done);
     }
@@ -83,6 +84,44 @@ TEST_F(UpdateTest, UpdateVisibleToBaseline)
     for (std::uint32_t e = 0; e < 8; ++e)
         expect[e] += synthetic::value(table.id, 100, e);
     EXPECT_EQ(result, expect);
+}
+
+TEST_F(UpdateTest, HostCacheServesTheUpdateOfACachedRow)
+{
+    makeSystem();
+    auto table = sys_->installTable(1000, 8);
+    HostEmbeddingCache cache(64);
+    BaselineSsdSlsBackend::Options opt;
+    opt.hostCache = &cache;
+    BaselineSsdSlsBackend base(sys_->eq(), sys_->cpu(), sys_->driver(),
+                               sys_->queues(), opt);
+    std::vector<float> v1(8, 12.0f);
+
+    EXPECT_EQ(runOp(base, table, {{5}}), synthetic::expectedSls(table, {{5}}));
+    update(table, 5, v1, &cache);
+    std::uint64_t hits = cache.hits();
+    EXPECT_EQ(runOp(base, table, {{5}}), v1);
+    EXPECT_EQ(cache.hits(), hits + 1) << "the update must not evict";
+}
+
+TEST_F(UpdateTest, HostCacheFillsAnUncachedRowWithItsUpdate)
+{
+    makeSystem();
+    auto table = sys_->installTable(1000, 8);
+    HostEmbeddingCache cache(64);
+    BaselineSsdSlsBackend::Options opt;
+    opt.hostCache = &cache;
+    BaselineSsdSlsBackend base(sys_->eq(), sys_->cpu(), sys_->driver(),
+                               sys_->queues(), opt);
+    std::vector<float> v1(8, 7.0f);
+    std::vector<float> twice(8, 14.0f);
+
+    update(table, 9, v1, &cache);
+    // The miss reads the SSD; the repeat in the same op and the next
+    // op hit the row the miss filled.
+    EXPECT_EQ(runOp(base, table, {{9, 9}}), twice);
+    EXPECT_EQ(runOp(base, table, {{9}}), v1);
+    EXPECT_EQ(cache.hits(), 2u);
 }
 
 TEST_F(UpdateTest, PackedPageRmwPreservesNeighbours)
