@@ -54,11 +54,13 @@ updateRow(UnvmeDriver &driver, QueueAllocator &queues,
                                 "update completion");
         if (Tracer *tracer = tracerOf(eq))
             tracer->end(wait_span);
+        // Only a host cache needs the values again at completion.
         auto finish = [&queues, queue, host_cache, id = desc.id,
-                       global_row = desc.globalRow(row), vals,
+                       global_row = desc.globalRow(row),
+                       cached = host_cache ? vals : std::vector<float>{},
                        done = std::move(done)]() {
             if (host_cache)
-                host_cache->applyUpdate(id, global_row, vals);
+                host_cache->applyUpdate(id, global_row, cached);
             queues.release(queue);
             if (done)
                 done();
