@@ -13,8 +13,10 @@
 #   2  full tier-1 suite.
 #   3  sharding matrix — ctest -L shard plus recssd_sim smoke runs at
 #      --num-ssds 1 and 4, then the fault matrix: a device dropout
-#      survived via replication + hedging, and a stall/fwpause plan
-#      served through a deadline (degraded answers, not hangs).
+#      survived via replication + hedging, a stall/fwpause plan
+#      served through a deadline (degraded answers, not hangs), and a
+#      dropout with no resilience flags that must complete and report
+#      its degraded queries on the `resilience:` line.
 #   4  layout matrix — ctest -L layout (the frequency-aware placement
 #      property/differential lockdown) plus recssd_sim smoke runs under
 #      --layout-policy freq.
@@ -49,8 +51,9 @@
 #      exercises from outside.
 #   8  quick + shard + layout + obs2 + updates2 + qos suites again
 #      under ASan+UBSan in a separate build tree (the 4-device,
-#      freq-layout, mixed-RW and 2-tenant QoS smokes and two
-#      bench-gate configs ride the sanitizer leg too).
+#      freq-layout, mixed-RW and 2-tenant QoS smokes, the
+#      no-resilience dropout smoke and two bench-gate configs ride the
+#      sanitizer leg too).
 #      RECSSD_SKIP_SANITIZERS=1 skips this stage (hosts without ASan).
 # The main build is configured with -DRECSSD_WERROR=ON: the tier-1
 # tree must compile warning-clean under -Wall -Wextra -Werror.
@@ -106,6 +109,11 @@ ctest --test-dir build -L shard --output-on-failure -j
     --num-ssds 4 --shard-policy range --batch 4 \
     --fault-plan 'stall@0:at=5ms,dur=10ms,period=20ms,count=50;fwpause@1:at=30ms,dur=5ms' \
     --deadline-us 50000 --queries 30 --qps 20 > /dev/null
+# No resilience flags: sub-ops routed to the dead device degrade at
+# issue instead of being lost with it.
+./build/tools/recssd_sim --serve --num-ssds 4 --shard-policy range \
+    --fault-plan 'dropout@3:at=0ms' --queries 40 --qps 20 \
+    | grep -E '^resilience: [1-9][0-9]* degraded queries' > /dev/null
 
 echo
 echo "=== stage 4: layout matrix (ctest -L layout + freq smoke) ==="
@@ -209,6 +217,9 @@ if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
         --num-ssds 4 --shard-policy range --replication 2 --batch 4 \
         --fault-plan 'dropout@3:at=50ms' --hedge-delay-us auto \
         --deadline-us 50000 --queries 30 --qps 20 > /dev/null
+    ./build-asan/tools/recssd_sim --serve --num-ssds 4 --shard-policy range \
+        --fault-plan 'dropout@3:at=0ms' --queries 40 --qps 20 \
+        | grep -E '^resilience: [1-9][0-9]* degraded queries' > /dev/null
     RECSSD_AUDIT=1 ./build-asan/tools/recssd_sim --serve --model RM1 \
         --backend ndp --all-ssd --num-ssds 1 --update-rate 2000 \
         --update-skew 0.8 --queries 40 --qps 500 > /dev/null

@@ -6,42 +6,13 @@
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse_time.h"
 
 namespace recssd
 {
 
 namespace
 {
-
-/** "3ms" / "250us" / "1.5s" -> Tick. */
-Tick
-parseTime(const std::string &text, const std::string &where)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (...) {
-        panic("fault plan: bad time '%s' in '%s'", text.c_str(),
-              where.c_str());
-    }
-    std::string suffix = text.substr(pos);
-    Tick unit = 0;
-    if (suffix == "ns")
-        unit = nsec;
-    else if (suffix == "us")
-        unit = usec;
-    else if (suffix == "ms")
-        unit = msec;
-    else if (suffix == "s")
-        unit = sec;
-    else
-        panic("fault plan: time '%s' needs a ns/us/ms/s suffix in '%s'",
-              text.c_str(), where.c_str());
-    recssd_assert(value >= 0.0, "fault plan: negative time in '%s'",
-                  where.c_str());
-    return static_cast<Tick>(value * static_cast<double>(unit));
-}
 
 FaultScenario
 parseScenario(const std::string &text)
@@ -90,13 +61,13 @@ parseScenario(const std::string &text)
         std::string key = kv.substr(0, eq);
         std::string val = kv.substr(eq + 1);
         if (key == "at")
-            s.at = parseTime(val, text);
+            s.at = parseTime(val, text, "fault plan");
         else if (key == "dur")
-            s.duration = parseTime(val, text);
+            s.duration = parseTime(val, text, "fault plan");
         else if (key == "period")
-            s.period = parseTime(val, text);
+            s.period = parseTime(val, text, "fault plan");
         else if (key == "jitter")
-            s.jitter = parseTime(val, text);
+            s.jitter = parseTime(val, text, "fault plan");
         else if (key == "factor")
             s.factor = std::atof(val.c_str());
         else if (key == "ch")

@@ -235,22 +235,8 @@ runServeTenants(System &sys, const RunnerOptions &options,
                          (static_cast<double>(span) / sec);
         pt.qos = qos->counters(t);
 
-        if (m.mon) {
-            m.mon->finish();
-            for (const SloMonitor::Window &w : m.mon->windows()) {
-                ServeStats::SloWindow sw;
-                sw.startUs = ticksToUs(w.start);
-                sw.queries = w.queries;
-                sw.attainment = w.attainment();
-                sw.p50Us = w.p50Us;
-                sw.p99Us = w.p99Us;
-                sw.burnRate = m.mon->burnRate(w.attainment());
-                pt.sloWindows.push_back(sw);
-            }
-            pt.sloMonitorAttainment = m.mon->overallAttainment();
-            pt.errorBudgetBurnRate = m.mon->overallBurnRate();
-            pt.worstWindowBurnRate = m.mon->worstWindowBurnRate();
-        }
+        if (m.mon)
+            summarizeSlo(*m.mon, pt);
         if (m.updates) {
             pt.updatesSubmitted = m.updates->submitted();
             pt.updatesApplied = m.updates->applied();

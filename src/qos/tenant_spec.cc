@@ -5,42 +5,13 @@
 #include <sstream>
 
 #include "src/common/logging.h"
+#include "src/common/parse_time.h"
 
 namespace recssd
 {
 
 namespace
 {
-
-/** "3ms" / "250us" / "1.5s" -> Tick. */
-Tick
-parseTime(const std::string &text, const std::string &where)
-{
-    std::size_t pos = 0;
-    double value = 0.0;
-    try {
-        value = std::stod(text, &pos);
-    } catch (...) {
-        panic("tenant spec: bad time '%s' in '%s'", text.c_str(),
-              where.c_str());
-    }
-    std::string suffix = text.substr(pos);
-    Tick unit = 0;
-    if (suffix == "ns")
-        unit = nsec;
-    else if (suffix == "us")
-        unit = usec;
-    else if (suffix == "ms")
-        unit = msec;
-    else if (suffix == "s")
-        unit = sec;
-    else
-        panic("tenant spec: time '%s' needs a ns/us/ms/s suffix in '%s'",
-              text.c_str(), where.c_str());
-    recssd_assert(value >= 0.0, "tenant spec: negative time in '%s'",
-                  where.c_str());
-    return static_cast<Tick>(value * static_cast<double>(unit));
-}
 
 double
 parseDouble(const std::string &text, const std::string &where)
@@ -122,7 +93,7 @@ parseTenant(const std::string &text)
             t.shape.minPoolingScale = p;
             t.shape.maxPoolingScale = p;
         } else if (key == "slo") {
-            t.slo = parseTime(value, text);
+            t.slo = parseTime(value, text, "tenant spec");
         } else if (key == "res") {
             t.share.reservation = parseDouble(value, text);
         } else if (key == "weight") {

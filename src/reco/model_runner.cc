@@ -139,22 +139,14 @@ ModelRunner::ModelRunner(System &sys, const ModelConfig &model,
         }
     }
     if (!per_shard.empty()) {
-        // The resilient wrapper replaces (never stacks on) the plain
-        // sharded one, and only when the run actually asked for tail
-        // tolerance — so replication=1/no-resil runs stay byte-
-        // identical to the historical sharded path.
-        if (options_.resil.active() || sys_.router().replication() > 1) {
-            resilientBackend_ = std::make_unique<ResilientSlsBackend>(
-                sys_.eq(), sys_.cpu(), sys_.router(), std::move(per_shard),
-                options_.resil, hostCache_.get());
-            resilientBackend_->setDeviceProbe([this](unsigned d) {
-                return !sys_.ssd(d).controller().dead();
-            });
-        } else {
-            shardedBackend_ = std::make_unique<ShardedSlsBackend>(
-                sys_.eq(), sys_.cpu(), sys_.router(),
-                std::move(per_shard));
-        }
+        // A sub-op routed to a dead controller degrades at once instead
+        // of being swallowed by it.
+        shardedBackend_ = std::make_unique<ShardedSlsBackend>(
+            sys_.eq(), sys_.cpu(), sys_.router(), std::move(per_shard),
+            options_.resil, hostCache_.get());
+        shardedBackend_->setDeviceProbe([this](unsigned d) {
+            return !sys_.ssd(d).controller().dead();
+        });
     }
 
     // Dense layers.
@@ -187,20 +179,6 @@ ModelRunner::ssdTableDescs() const
             out.push_back(t.desc);
     }
     return out;
-}
-
-SlsBackend &
-ModelRunner::backendFor(const TableRt &table)
-{
-    if (!table.onSsd || options_.backend == EmbeddingBackendKind::Dram)
-        return *dramBackend_;
-    // SSD tables always go through a shard wrapper; with one device
-    // it forwards the op untouched to the single inner backend.
-    if (resilientBackend_)
-        return *resilientBackend_;
-    recssd_assert(shardedBackend_ != nullptr,
-                  "SSD table without SSD backend");
-    return *shardedBackend_;
 }
 
 void
@@ -417,24 +395,23 @@ ModelRunner::launchSubBatch(unsigned size, unsigned first_sample,
         } else {
             op.indices.assign(size, {});
         }
-        SlsBackend &backend = backendFor(table);
-        if (&backend == resilientBackend_.get()) {
-            // Full-fidelity entry point: the degraded flag survives
-            // up to the batch completion.
-            resilientBackend_->runResil(
-                op, [state, t, join, batch](SlsResult result,
-                                            bool degraded) {
-                    if (degraded)
-                        batch->degraded = true;
-                    state->pooled[t] = std::move(result);
-                    join();
-                });
-        } else {
-            backend.run(op, [state, t, join](SlsResult result) {
+        if (!table.onSsd) {
+            dramBackend_->run(op, [state, t, join](SlsResult result) {
                 state->pooled[t] = std::move(result);
                 join();
             });
+            continue;
         }
+        // SSD tables always go through the scatter-gather wrapper, on
+        // the entry point that carries the degraded flag up to the
+        // batch completion.
+        shardedBackend_->runEx(op, [state, t, join, batch](SlsResult result,
+                                                           bool degraded) {
+            if (degraded)
+                batch->degraded = true;
+            state->pooled[t] = std::move(result);
+            join();
+        });
     }
 }
 

@@ -27,7 +27,6 @@
 #include "src/reco/mlp.h"
 #include "src/reco/model_config.h"
 #include "src/resil/resil_config.h"
-#include "src/resil/resilient_backend.h"
 #include "src/shard/sharded_backend.h"
 #include "src/trace/trace_gen.h"
 
@@ -65,9 +64,8 @@ struct RunnerOptions
     /** Actually compute the dense layers (tests/examples). */
     bool functionalMlp = false;
 
-    /** Tail tolerance (src/resil): deadlines + hedged sub-ops. The
-     *  resilient wrapper replaces the plain sharded one when any knob
-     *  here is active or the router replicates tables. */
+    /** Tail tolerance (src/resil): deadlines + hedged sub-ops, applied
+     *  by the scatter-gather wrapper. All off by default. */
     ResilConfig resil;
 
     /** Input trace template (universe is overridden per table). */
@@ -127,8 +125,7 @@ class ModelRunner
      * launchQuery with the degraded flag: `done(latency, degraded)`,
      * where `degraded` is true when any SLS op in the batch was
      * answered from a deadline expiry or a dead-end degraded fill
-     * (only possible on the resilient backend; always false
-     * otherwise).
+     * (a sub-op whose every candidate device is dead or ejected).
      */
     void launchQueryEx(const QueryShape &shape,
                        std::function<void(Tick, bool)> done);
@@ -156,20 +153,11 @@ class ModelRunner
 
     /**
      * The scatter-gather wrapper every SSD-resident table runs
-     * through; null for the pure-DRAM backend. At one device it is a
-     * pass-through, so per-shard stats still work (all on shard 0).
+     * through, carrying `RunnerOptions::resil`; null for the pure-DRAM
+     * backend. At one device a sub-op is delivered as the device
+     * answered it, so per-shard stats still work (all on shard 0).
      */
     ShardedSlsBackend *shardedBackend() { return shardedBackend_.get(); }
-
-    /**
-     * The tail-tolerant scatter-gather wrapper, built *instead of*
-     * the plain sharded one when `RunnerOptions::resil` is active or
-     * tables are replicated; null otherwise.
-     */
-    ResilientSlsBackend *resilientBackend()
-    {
-        return resilientBackend_.get();
-    }
 
   private:
     struct TableRt
@@ -179,9 +167,6 @@ class ModelRunner
         unsigned lookups;  ///< indices per sample for this table
         std::unique_ptr<TraceGenerator> gen;
     };
-
-    /** Pick the backend serving a table under the current options. */
-    SlsBackend &backendFor(const TableRt &table);
 
     /** Profile traces and freeze the static partition. */
     void buildPartition();
@@ -205,7 +190,6 @@ class ModelRunner
     std::vector<std::unique_ptr<BaselineSsdSlsBackend>> baselineBackends_;
     std::vector<std::unique_ptr<NdpSlsBackend>> ndpBackends_;
     std::unique_ptr<ShardedSlsBackend> shardedBackend_;
-    std::unique_ptr<ResilientSlsBackend> resilientBackend_;
 
     std::unique_ptr<Mlp> bottomMlp_;
     std::unique_ptr<Mlp> topMlp_;

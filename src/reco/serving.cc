@@ -414,51 +414,32 @@ runServe(ModelRunner &runner, const ServeConfig &config)
             ds.maxDepthPerQueue.push_back(
                 drv.queuePair(q).maxOutstanding());
         }
-        const LatencyRecorder *lat = nullptr;
-        if (auto *sharded = runner.shardedBackend()) {
-            lat = &sharded->shardLatency(d);
-        } else if (auto *resil = runner.resilientBackend()) {
-            lat = &resil->shardLatency(d);
-            ds.lateCompletions = resil->lateCompletionsOn(d);
-        }
-        if (lat) {
-            ds.subOps = lat->count();
-            if (ds.subOps > 0) {
-                ds.subOpP50Us = lat->percentileUs(0.50);
-                ds.subOpP95Us = lat->percentileUs(0.95);
-                ds.subOpP99Us = lat->percentileUs(0.99);
-                ds.subOpP999Us = lat->percentileUs(0.999);
-                ds.subOpMaxUs = lat->maxUs();
-            }
-        }
         out.perDevice.push_back(std::move(ds));
     }
-    if (auto *sharded = runner.shardedBackend())
+    if (const ShardedSlsBackend *sharded = runner.shardedBackend()) {
+        for (unsigned d = 0; d < sys.numSsds(); ++d) {
+            ServeStats::DeviceStats &ds = out.perDevice[d];
+            const LatencyRecorder &lat = sharded->shardLatency(d);
+            ds.subOps = lat.count();
+            if (ds.subOps > 0) {
+                ds.subOpP50Us = lat.percentileUs(0.50);
+                ds.subOpP95Us = lat.percentileUs(0.95);
+                ds.subOpP99Us = lat.percentileUs(0.99);
+                ds.subOpP999Us = lat.percentileUs(0.999);
+                ds.subOpMaxUs = lat.maxUs();
+            }
+            ds.lateCompletions = sharded->lateCompletionsOn(d);
+        }
         out.scatteredOps = sharded->scatteredOps();
-    if (auto *resil = runner.resilientBackend()) {
-        out.scatteredOps = resil->scatteredOps();
-        out.hedgesFired = resil->hedgesFired();
-        out.hedgeWins = resil->hedgeWins();
-        out.duplicateCompletions = resil->duplicateCompletions();
-        out.deadlineMisses = resil->deadlineMisses();
-        out.failovers = resil->failovers();
-        out.ejectedDevices = resil->unhealthyDevices();
+        out.hedgesFired = sharded->hedgesFired();
+        out.hedgeWins = sharded->hedgeWins();
+        out.duplicateCompletions = sharded->duplicateCompletions();
+        out.deadlineMisses = sharded->deadlineMisses();
+        out.failovers = sharded->failovers();
+        out.ejectedDevices = sharded->unhealthyDevices();
     }
     if (mon) {
-        mon->finish();
-        for (const SloMonitor::Window &w : mon->windows()) {
-            ServeStats::SloWindow sw;
-            sw.startUs = ticksToUs(w.start);
-            sw.queries = w.queries;
-            sw.attainment = w.attainment();
-            sw.p50Us = w.p50Us;
-            sw.p99Us = w.p99Us;
-            sw.burnRate = mon->burnRate(w.attainment());
-            out.sloWindows.push_back(sw);
-        }
-        out.sloMonitorAttainment = mon->overallAttainment();
-        out.errorBudgetBurnRate = mon->overallBurnRate();
-        out.worstWindowBurnRate = mon->worstWindowBurnRate();
+        summarizeSlo(*mon, out);
 
         // Surface the monitor in the stat registry so stats JSON and
         // the metric sampler pick it up; the getters share ownership

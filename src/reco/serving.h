@@ -260,7 +260,7 @@ struct ServeStats
     std::uint64_t scatteredOps = 0;
 
     /** @{ Tail-tolerance accounting; all zero unless the run used
-     *  the resilient backend (deadlines/hedging/replication). */
+     *  deadlines, hedging or replication, or a device died. */
     unsigned degradedQueries = 0;
     std::uint64_t hedgesFired = 0;
     std::uint64_t hedgeWins = 0;
@@ -315,6 +315,31 @@ struct ServeStats
     } update;
     /** @} */
 };
+
+/**
+ * Finish `mon` and copy its windows and overall attainment / burn
+ * rates into the SLO fields of `out` (a `ServeStats` or a tenant's
+ * per-tenant stats, which share the field names).
+ */
+template <typename Stats>
+void
+summarizeSlo(SloMonitor &mon, Stats &out)
+{
+    mon.finish();
+    for (const SloMonitor::Window &w : mon.windows()) {
+        ServeStats::SloWindow sw;
+        sw.startUs = ticksToUs(w.start);
+        sw.queries = w.queries;
+        sw.attainment = w.attainment();
+        sw.p50Us = w.p50Us;
+        sw.p99Us = w.p99Us;
+        sw.burnRate = mon.burnRate(w.attainment());
+        out.sloWindows.push_back(sw);
+    }
+    out.sloMonitorAttainment = mon.overallAttainment();
+    out.errorBudgetBurnRate = mon.overallBurnRate();
+    out.worstWindowBurnRate = mon.worstWindowBurnRate();
+}
 
 /**
  * Drive the runner through the batched multi-queue serving path:

@@ -1,6 +1,6 @@
 /**
  * @file
- * Per-device health tracking for the resilient serving path.
+ * Per-device health tracking for the scatter-gather serving path.
  *
  * A device that keeps timing out (its hedge timer fires before its
  * completion arrives, `ejectAfterFailures` times in a row) is ejected

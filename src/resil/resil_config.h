@@ -2,12 +2,12 @@
  * @file
  * Tail-tolerance knobs for the serving path.
  *
- * A `ResilConfig` turns the plain scatter-gather backend into the
- * resilient one (`ResilientSlsBackend`): per-op deadlines with a
- * degraded answer path, hedged sub-ops against replicas, and health
- * tracking that ejects repeatedly-timing-out devices. All defaults
- * are "off": a default config plus replication=1 keeps the serving
- * path byte-identical to the plain backend.
+ * A `ResilConfig` configures the scatter-gather backend
+ * (`ShardedSlsBackend`, src/shard): per-op deadlines with a degraded
+ * answer path, hedged sub-ops against replicas, and health tracking
+ * that ejects repeatedly-timing-out devices. All defaults are "off":
+ * a default config plus replication=1 times exactly like a plain
+ * scatter-gather fan-out.
  */
 
 #ifndef RECSSD_RESIL_RESIL_CONFIG_H

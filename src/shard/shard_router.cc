@@ -177,7 +177,12 @@ ShardRouter::split(const SlsOp &op) const
         for (RowId row : op.indices[b]) {
             unsigned shard = shardOf(st.global, row);
             OpSlice &o = sliceFor(shard);
-            o.indices[b].push_back(row - o.desc->rowBase);
+            std::vector<RowId> &bag = o.indices[b];
+            // One allocation per bag: a single-slice table (TableHash,
+            // or one device) takes every row of it.
+            if (bag.empty())
+                bag.reserve(op.indices[b].size());
+            bag.push_back(row - o.desc->rowBase);
             ++o.lookups;
         }
     }

@@ -100,6 +100,21 @@ TEST(TenantSpecDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(TenantSet::parse("bad name:qps=1"), "name");
 }
 
+TEST(TenantSpecDeathTest, RejectsBadTimes)
+{
+    auto slo = [](const char *time) {
+        TenantSet::parse(std::string("t:qps=50,slo=") + time);
+    };
+    EXPECT_DEATH(slo("inf"), "tenant spec: time 'inf' needs a ns/us/ms/s");
+    EXPECT_DEATH(slo("nan"), "tenant spec: time 'nan' needs a ns/us/ms/s");
+    EXPECT_DEATH(slo("infs"), "tenant spec: time 'infs' is not finite");
+    EXPECT_DEATH(slo("nanms"), "tenant spec: time 'nanms' is not finite");
+    EXPECT_DEATH(slo("1e300s"), "tenant spec: time '1e300s' overflows");
+    EXPECT_DEATH(slo("-1ms"), "tenant spec: negative time");
+    EXPECT_DEATH(slo("5"), "tenant spec: time '5' needs a ns/us/ms/s");
+    EXPECT_DEATH(slo("ms"), "tenant spec: bad time 'ms'");
+}
+
 TEST(TenantSpec, LoadsFromFile)
 {
     std::string path = testing::TempDir() + "/tenants_qos_test.txt";

@@ -1,7 +1,7 @@
 /**
  * @file
- * Fault model + tail tolerance: the resilient scatter-gather path
- * under injected device faults.
+ * Fault model + tail tolerance: the scatter-gather path under injected
+ * device faults.
  *
  * The load-bearing guarantees:
  *  - a dropped device's reads fail over to replicas and every SLS sum
@@ -11,13 +11,16 @@
  *  - hedge accounting conserves sub-ops (completions = served +
  *    duplicates; wins <= fires);
  *  - replica rotation balances reads instead of parity-locking;
- *  - with resilience off and replication 1, the resilient backend is
- *    tick-for-tick identical to the plain sharded one.
+ *  - with resilience off and replication 1, scatter-gather timing is
+ *    tick-for-tick that of the plain fan-out it grew from;
+ *  - a dead device with no resilience configured degrades its
+ *    sub-ops instead of losing queries.
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/embedding/ndp_backend.h"
@@ -25,7 +28,7 @@
 #include "src/fault/fault_plan.h"
 #include "src/resil/health.h"
 #include "src/resil/hedge.h"
-#include "src/resil/resilient_backend.h"
+#include "src/reco/serving.h"
 #include "src/shard/sharded_backend.h"
 #include "src/trace/trace_gen.h"
 #include "tests/test_helpers.h"
@@ -38,11 +41,11 @@ namespace
 constexpr unsigned kBatch = 4;
 constexpr unsigned kLookups = 12;
 
-/** Per-device NDP backends wrapped in the resilient fan-out. */
+/** Per-device NDP backends wrapped in the scatter-gather fan-out. */
 struct ResilSet
 {
     std::vector<std::unique_ptr<NdpSlsBackend>> owned;
-    std::unique_ptr<ResilientSlsBackend> resil;
+    std::unique_ptr<ShardedSlsBackend> resil;
 
     ResilSet(System &sys, const ResilConfig &config)
     {
@@ -53,7 +56,7 @@ struct ResilSet
                 NdpSlsBackend::Options{}));
             inner.push_back(owned.back().get());
         }
-        resil = std::make_unique<ResilientSlsBackend>(
+        resil = std::make_unique<ShardedSlsBackend>(
             sys.eq(), sys.cpu(), sys.router(), inner, config);
         resil->setDeviceProbe([&sys](unsigned d) {
             return !sys.ssd(d).controller().dead();
@@ -112,6 +115,21 @@ TEST(FaultPlanParse, CommentsAndDefaults)
     EXPECT_EQ(plan.scenarios[0].kind, FaultKind::FirmwarePause);
     EXPECT_GT(plan.scenarios[0].duration, 0);  // kind default applied
     EXPECT_EQ(plan.scenarios[0].count, 1u);
+}
+
+TEST(FaultPlanParseDeathTest, RejectsBadTimes)
+{
+    auto at = [](const char *time) {
+        FaultPlan::parse(std::string("dropout@3:at=") + time);
+    };
+    EXPECT_DEATH(at("inf"), "fault plan: time 'inf' needs a ns/us/ms/s");
+    EXPECT_DEATH(at("nan"), "fault plan: time 'nan' needs a ns/us/ms/s");
+    EXPECT_DEATH(at("infs"), "fault plan: time 'infs' is not finite");
+    EXPECT_DEATH(at("nanms"), "fault plan: time 'nanms' is not finite");
+    EXPECT_DEATH(at("1e300s"), "fault plan: time '1e300s' overflows");
+    EXPECT_DEATH(at("-1ms"), "fault plan: negative time");
+    EXPECT_DEATH(at("5"), "fault plan: time '5' needs a ns/us/ms/s");
+    EXPECT_DEATH(at("ms"), "fault plan: bad time 'ms'");
 }
 
 TEST(HealthTrackerUnit, EjectsCoolsDownAndRestores)
@@ -208,7 +226,7 @@ TEST(TailTolerance, DropoutFailsOverBitExact)
             SlsOp op;
             op.table = &table;
             op.indices = ops[i].indices;
-            set.resil->runResil(op, [&, i](SlsResult r, bool degraded) {
+            set.resil->runEx(op, [&, i](SlsResult r, bool degraded) {
                 ops[i].result = std::move(r);
                 ops[i].degraded = degraded;
                 ops[i].completed = true;
@@ -264,7 +282,7 @@ TEST(TailTolerance, DeadlineDeliversDegraded)
     bool degraded = false;
     bool completed = false;
     Tick done_at = 0;
-    set.resil->runResil(op, [&](SlsResult r, bool d) {
+    set.resil->runEx(op, [&](SlsResult r, bool d) {
         result = std::move(r);
         degraded = d;
         completed = true;
@@ -324,7 +342,7 @@ TEST(TailTolerance, HedgeAccountingConserved)
             SlsOp op;
             op.table = &table;
             op.indices = indices[i];
-            set.resil->runResil(op, [&, i](SlsResult r, bool) {
+            set.resil->runEx(op, [&, i](SlsResult r, bool) {
                 results[i] = std::move(r);
                 ++completed;
             });
@@ -373,7 +391,7 @@ TEST(TailTolerance, ReplicaReadsBalanceAcrossDevices)
         SlsOp op;
         op.table = &table;
         op.indices = gen.nextBatch(kBatch, kLookups);
-        set.resil->runResil(op, [&](SlsResult, bool) { ++completed; });
+        set.resil->runEx(op, [&](SlsResult, bool) { ++completed; });
         sys.run();
     }
     ASSERT_EQ(completed, kOps);
@@ -389,70 +407,92 @@ TEST(TailTolerance, ReplicaReadsBalanceAcrossDevices)
 }
 
 /**
- * With replication 1, hedging off and no deadline, the resilient
- * backend must be indistinguishable from the plain sharded one:
- * identical results at identical simulated times, op for op.
+ * With replication 1, hedging off and no deadline, scatter-gather must
+ * time exactly like the plain fan-out it replaced: exact results at
+ * the simulated completion ticks that fan-out produced, op for op
+ * (captured from it on this 3-shard, 6-op run).
  */
 TEST(TailTolerance, InactiveConfigMatchesShardedTickForTick)
 {
-    struct Trace
-    {
-        std::vector<SlsResult> results;
-        std::vector<Tick> doneAt;
-    };
-    auto runWith = [](bool resilient) {
-        SystemConfig cfg = test::smallSystem();
-        cfg.shard.numShards = 3;
-        cfg.shard.policy = ShardPolicy::RowRange;
-        System sys(cfg);
-        auto table = sys.installTable(10'000, 16);
+    SystemConfig cfg = test::smallSystem();
+    cfg.shard.numShards = 3;
+    cfg.shard.policy = ShardPolicy::RowRange;
+    System sys(cfg);
+    auto table = sys.installTable(10'000, 16);
+    ResilSet set(sys, ResilConfig{});
 
-        std::vector<std::unique_ptr<NdpSlsBackend>> owned;
-        std::vector<SlsBackend *> inner;
-        for (unsigned d = 0; d < sys.numSsds(); ++d) {
-            owned.push_back(std::make_unique<NdpSlsBackend>(
-                sys.eq(), sys.cpu(), sys.driver(d), sys.queues(d),
-                NdpSlsBackend::Options{}));
-            inner.push_back(owned.back().get());
-        }
-        std::unique_ptr<ShardedSlsBackend> sharded;
-        std::unique_ptr<ResilientSlsBackend> resil;
-        SlsBackend *backend = nullptr;
-        if (resilient) {
-            resil = std::make_unique<ResilientSlsBackend>(
-                sys.eq(), sys.cpu(), sys.router(), inner, ResilConfig{});
-            backend = resil.get();
-        } else {
-            sharded = std::make_unique<ShardedSlsBackend>(
-                sys.eq(), sys.cpu(), sys.router(), inner);
-            backend = sharded.get();
-        }
+    TraceSpec spec;
+    spec.kind = TraceKind::Uniform;
+    spec.universe = table.rows;
+    spec.seed = 99;
+    TraceGenerator gen(spec);
 
-        TraceSpec spec;
-        spec.kind = TraceKind::Uniform;
-        spec.universe = table.rows;
-        spec.seed = 99;
-        TraceGenerator gen(spec);
+    const std::vector<Tick> plain_done_at = {665314,  1237363, 1813101,
+                                             2292598, 2776499, 3441456};
+    for (unsigned i = 0; i < plain_done_at.size(); ++i) {
+        SlsOp op;
+        op.table = &table;
+        op.indices = gen.nextBatch(kBatch, kLookups);
+        SlsResult result;
+        Tick done_at = 0;
+        set.resil->run(op, [&](SlsResult r) {
+            result = std::move(r);
+            done_at = sys.eq().now();
+        });
+        sys.run();
+        EXPECT_EQ(result, synthetic::expectedSls(table, op.indices))
+            << "op " << i;
+        EXPECT_EQ(done_at, plain_done_at[i]) << "op " << i;
+    }
+    EXPECT_EQ(set.resil->scatteredOps(), 6u);
+    for (unsigned d = 0; d < sys.numSsds(); ++d)
+        EXPECT_EQ(set.resil->subOpsOn(d), 6u) << "ssd" << d;
+}
 
-        Trace out;
-        for (unsigned i = 0; i < 6; ++i) {
-            SlsOp op;
-            op.table = &table;
-            op.indices = gen.nextBatch(kBatch, kLookups);
-            backend->run(op, [&](SlsResult r) {
-                out.results.push_back(std::move(r));
-                out.doneAt.push_back(sys.eq().now());
-            });
-            sys.run();
-        }
-        return out;
-    };
+/**
+ * A device dropout with no resilience configured: every sub-op routed
+ * to the dead device degrades at issue (the liveness probe is always
+ * installed), so the serve completes every query instead of losing
+ * the ones the dead controller would swallow.
+ */
+TEST(TailTolerance, DropoutWithoutResilienceDegradesInsteadOfLosingQueries)
+{
+    SystemConfig cfg = test::smallSystem();
+    cfg.shard.numShards = 4;
+    cfg.shard.policy = ShardPolicy::RowRange;
+    cfg.host.ioQueues = 4;
+    cfg.ssd.nvme.numQueues = 4;
+    cfg.host.balancedQueueGrants = true;
+    applyFaultPlan(cfg, FaultPlan::parse("dropout@3:at=0ms"));
+    System sys(cfg);
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::Ndp;
+    opt.seed = 42;
+    ModelRunner runner(sys, modelByName("RM1"), opt);
 
-    Trace plain = runWith(false);
-    Trace resil = runWith(true);
-    ASSERT_EQ(plain.results.size(), resil.results.size());
-    EXPECT_EQ(plain.results, resil.results);
-    EXPECT_EQ(plain.doneAt, resil.doneAt);
+    // recssd_sim --serve --num-ssds 4 --shard-policy range
+    //   --fault-plan 'dropout@3:at=0ms' --queries 40 --qps 20
+    ServeConfig scfg;
+    scfg.arrivals.qps = 20.0;
+    scfg.shape.minBatch = 16;
+    scfg.shape.maxBatch = 16;
+    scfg.batching.maxBatchSamples = 64;
+    scfg.batching.maxWait = 500 * usec;
+    scfg.batching.maxInFlight = 4;
+    scfg.queries = 40;
+    scfg.warmupQueries = 4;
+    scfg.seed = 42;
+    ServeStats s = runServe(runner, scfg);
+
+    EXPECT_EQ(s.completedQueries, 40u);
+    EXPECT_GT(s.degradedQueries, 0u);
+    ASSERT_EQ(s.perDevice.size(), 4u);
+    std::uint64_t ssd3_commands = 0;
+    for (std::uint64_t c : s.perDevice[3].commandsPerQueue)
+        ssd3_commands += c;
+    EXPECT_EQ(ssd3_commands, 0u);
+    EXPECT_EQ(s.perDevice[3].subOps, 0u);
+    EXPECT_EQ(s.ejectedDevices, std::vector<unsigned>{3});
 }
 
 /**
@@ -480,7 +520,7 @@ TEST(TailTolerance, FaultStatsVisiblePerDevice)
         op.table = &table;
         op.indices = gen.nextBatch(kBatch, kLookups);
         bool done = false;
-        set.resil->runResil(op, [&](SlsResult, bool) { done = true; });
+        set.resil->runEx(op, [&](SlsResult, bool) { done = true; });
         sys.run();
         ASSERT_TRUE(done);
     }

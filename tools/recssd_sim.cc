@@ -727,7 +727,8 @@ main(int argc, char **argv)
             std::printf("scatter: %llu ops fanned out to >1 device\n",
                         static_cast<unsigned long long>(s.scatteredOps));
         }
-        if (runner->resilientBackend()) {
+        if (opt.resil.active() || sys.router().replication() > 1 ||
+            s.degradedQueries > 0) {
             std::printf("resilience: %u degraded queries, %llu deadline "
                         "misses, %llu hedges fired (%llu won), %llu "
                         "duplicate completions, %llu failovers\n",
