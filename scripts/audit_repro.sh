@@ -5,13 +5,48 @@
 # and stdout. Separate processes, so ASLR / allocator variation is in
 # play: any hash-order leak into an export shows up as a diff here
 # even if an in-process double run would hide it.
+#
+# Usage: scripts/audit_repro.sh [SIM] [--against OLD_SIM]
+#
+# With --against, run 1 uses OLD_SIM (say, the parent commit's build)
+# and run 2 uses SIM over the same seeded configs, so a change that
+# must not alter simulated behaviour (a host-time optimisation) proves
+# its artifacts byte-identical to the old binary's.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-SIM="${1:-build/tools/recssd_sim}"
-if [[ ! -x "$SIM" ]]; then
-    echo "audit_repro: $SIM not built; run cmake --build build first"
-    exit 1
+SIM=""
+OLD_SIM=""
+while [[ $# -gt 0 ]]; do
+    case "$1" in
+        --against)
+            if [[ $# -lt 2 ]]; then
+                echo "audit_repro: --against needs a path"
+                exit 2
+            fi
+            OLD_SIM="$2"
+            shift 2
+            ;;
+        *)
+            SIM="$1"
+            shift
+            ;;
+    esac
+done
+SIM="${SIM:-build/tools/recssd_sim}"
+for bin in "$SIM" ${OLD_SIM:+"$OLD_SIM"}; do
+    if [[ ! -x "$bin" ]]; then
+        echo "audit_repro: $bin not built; run cmake --build build first"
+        exit 1
+    fi
+done
+# Absolute paths: every run executes from its own artifact directory.
+abspath() { echo "$(cd "$(dirname "$1")" && pwd)/$(basename "$1")"; }
+SIM=$(abspath "$SIM")
+RUN1_SIM="$SIM"
+if [[ -n "$OLD_SIM" ]]; then
+    RUN1_SIM=$(abspath "$OLD_SIM")
+    echo "audit_repro: run 1 uses $RUN1_SIM, run 2 uses $SIM"
 fi
 
 workdir=$(mktemp -d)
@@ -24,9 +59,13 @@ run_twice() {
     # Identical artifact paths per run (cd into a per-run dir) so the
     # paths echoed on stdout can't cause a spurious diff.
     for i in 1 2; do
+        local sim="$SIM"
+        if [[ "$i" == 1 ]]; then
+            sim="$RUN1_SIM"
+        fi
         mkdir -p "$workdir/$name/run$i"
         (cd "$workdir/$name/run$i" &&
-            RECSSD_AUDIT=1 "$OLDPWD/$SIM" "$@" \
+            RECSSD_AUDIT=1 "$sim" "$@" \
                 --stats-json stats.json \
                 --metrics-out metrics.jsonl \
                 --trace-out trace.json \
@@ -35,7 +74,7 @@ run_twice() {
     for art in stats.json metrics.jsonl trace.json stdout; do
         if ! cmp -s "$workdir/$name/run1/$art" "$workdir/$name/run2/$art"
         then
-            echo "audit_repro: $name: $art differs between identical runs"
+            echo "audit_repro: $name: $art differs between run 1 and run 2"
             diff "$workdir/$name/run1/$art" "$workdir/$name/run2/$art" |
                 head -20
             failed=1

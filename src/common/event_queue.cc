@@ -17,7 +17,39 @@ EventQueue::schedule(Tick when, Callback &&cb)
                   static_cast<unsigned long long>(when),
                   static_cast<unsigned long long>(now_));
     recssd_assert(cb != nullptr, "cannot schedule a null callback");
-    Key key{when, nextSeq_++, callbacks_.put(std::move(cb))};
+    push(Key{when, nextSeq_++, callbacks_.put(std::move(cb))});
+}
+
+void
+EventQueue::scheduleSeries(std::vector<Tick> ticks, SeriesCallback &&fire)
+{
+    if (ticks.empty())
+        return;
+    recssd_assert(fire != nullptr, "cannot schedule a null series");
+    recssd_assert(ticks.front() >= now_,
+                  "series starts in the past (%llu < %llu)",
+                  static_cast<unsigned long long>(ticks.front()),
+                  static_cast<unsigned long long>(now_));
+    for (std::size_t i = 1; i < ticks.size(); ++i) {
+        recssd_assert(ticks[i] >= ticks[i - 1],
+                      "series ticks must be non-decreasing (item %zu: "
+                      "%llu < %llu)",
+                      i, static_cast<unsigned long long>(ticks[i]),
+                      static_cast<unsigned long long>(ticks[i - 1]));
+    }
+    // Reserve the sequence numbers eager scheduling would take now, so
+    // every item pops with the key it would have had in the heap.
+    const std::uint64_t seq0 = nextSeq_;
+    nextSeq_ += ticks.size();
+    const Tick first = ticks.front();
+    std::uint32_t index =
+        series_.put(Series{std::move(ticks), seq0, std::move(fire)});
+    push(Key{first, seq0, index | kSeriesSlot});
+}
+
+void
+EventQueue::push(const Key &key)
+{
     // Sift up: move parents down into the hole until the key fits.
     std::size_t hole = heap_.size();
     heap_.push_back(key);
@@ -96,12 +128,38 @@ EventQueue::runOne()
     }
     now_ = key.when;
     ++executed_;
+    if (key.slot & kSeriesSlot) {
+        runSeriesItem(key);
+        return true;
+    }
     // Run the callback where it sits: slots never move, and this one
     // is not freed (so not reused by a re-entrant schedule) until the
     // callback returns.
     callbacks_[key.slot]();
     callbacks_.release(key.slot);
     return true;
+}
+
+void
+EventQueue::runSeriesItem(const Key &key)
+{
+    const std::uint32_t index = key.slot & ~kSeriesSlot;
+    // Series records never move, so the reference survives whatever
+    // the item schedules.
+    Series &series = series_[index];
+    const std::size_t i = key.seq - series.seq0;
+    const bool last = i + 1 == series.ticks.size();
+    if (!last) {
+        // The successor's key was fixed when the series was scheduled;
+        // pushing it now cannot reorder it against anything else.
+        recssd_assert(key.seq + 1 < nextSeq_,
+                      "series sequence number %llu was never reserved",
+                      static_cast<unsigned long long>(key.seq + 1));
+        push(Key{series.ticks[i + 1], key.seq + 1, key.slot});
+    }
+    series.fire(i);
+    if (last)
+        series_.release(index);
 }
 
 Tick

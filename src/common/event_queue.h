@@ -11,6 +11,7 @@
 #ifndef RECSSD_COMMON_EVENT_QUEUE_H
 #define RECSSD_COMMON_EVENT_QUEUE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -31,6 +32,11 @@ class UtilizationCollector;  // can reach them without new plumbing
  * ordering structure is a 4-ary min-heap of 24-byte (when, seq, slot)
  * keys, so a sift moves keys, not callables. A callback runs in its
  * slot, and the slot is freed (and reused LIFO) once it returns.
+ *
+ * A series (`scheduleSeries`) is a sorted run of timed items known up
+ * front, such as a serve's query arrivals. It reserves one sequence
+ * number per item when scheduled but keeps only its next item in the
+ * heap, so the heap holds in-flight work plus one key per series.
  */
 class EventQueue
 {
@@ -38,6 +44,8 @@ class EventQueue
     /** Move-only; captures up to kInlineCallbackBytes live inline,
      *  bigger ones spill to a reused pool (src/common/inline_function.h). */
     using Callback = InlineFunction<void()>;
+    /** A series item's body; receives the item's index. */
+    using SeriesCallback = InlineFunction<void(std::size_t)>;
 
     EventQueue();
 
@@ -63,10 +71,28 @@ class EventQueue
         schedule(now_ + delay, std::move(cb));
     }
 
+    /**
+     * Schedule a sorted series: item i runs `fire(i)` at `ticks[i]`.
+     *
+     * Pops in exactly the order that calling schedule(ticks[i], ...)
+     * for every i, now and in index order, would give: the call
+     * reserves the n sequence numbers eager scheduling would consume,
+     * and item i pops with the key (ticks[i], seq0 + i). Only the next
+     * unfired item sits in the heap; it pushes its successor when it
+     * pops. `ticks` must be non-decreasing and start at or after now.
+     * `fire` is a deferred body, like schedule()'s callback.
+     */
+    void scheduleSeries(std::vector<Tick> ticks, SeriesCallback &&fire)
+        RECSSD_DEFERS_CALLBACK;
+
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
 
-    /** Number of pending events. */
+    /**
+     * Number of heap entries: pending events, with a series counted
+     * once while it has items left. So pending() > 0 exactly when
+     * eager scheduling would leave events pending.
+     */
     std::size_t pending() const { return heap_.size(); }
 
     /**
@@ -84,8 +110,13 @@ class EventQueue
      */
     Tick runUntil(Tick limit);
 
-    /** Total number of events ever executed. */
+    /** Total number of events ever executed (series items included). */
     std::uint64_t executed() const { return executed_; }
+
+    /** RECSSD_AUDIT only: the sequence number (FIFO tiebreak) of the
+     *  last popped event, so tests can compare (when, seq) pop traces.
+     *  Always 0 when the audit is off. */
+    std::uint64_t auditLastSeq() const { return lastSeq_; }
 
     /** @{ Observability hook. Every component holds an EventQueue
      *  reference, so the queue doubles as the rendezvous point for the
@@ -102,12 +133,23 @@ class EventQueue
     /** @} */
 
   private:
-    /** Heap key: the callback itself stays in `callbacks_[slot]`. */
+    /** Heap key: the callback itself stays in `callbacks_[slot]`, or
+     *  for a series item (slot has `kSeriesSlot` set) in `series_`. */
     struct Key
     {
         Tick when;
         std::uint64_t seq;
         std::uint32_t slot;
+    };
+
+    static constexpr std::uint32_t kSeriesSlot = 1u << 31;
+
+    /** A series with items left; `ticks` is consumed front to back. */
+    struct Series
+    {
+        std::vector<Tick> ticks;
+        std::uint64_t seq0 = 0;  ///< sequence number of item 0
+        SeriesCallback fire;
     };
 
     /**
@@ -123,8 +165,14 @@ class EventQueue
                ((Order(b.when) << 64) | b.seq);
     }
 
+    /** Insert a key into the heap (sift up). */
+    void push(const Key &key);
+
     /** Remove the minimum key from the heap and return it. */
     Key popMin();
+
+    /** Run the series item `key` names, first pushing its successor. */
+    void runSeriesItem(const Key &key);
 
     Tick now_ = 0;
     std::uint64_t nextSeq_ = 0;
@@ -134,6 +182,7 @@ class EventQueue
     /** 4-ary min-heap under `before`: children of i are 4i+1..4i+4. */
     std::vector<Key> heap_;
     RecordPool<Callback> callbacks_;
+    RecordPool<Series> series_;
 
     /** @{ RECSSD_AUDIT: pops must be strictly increasing in
      *  (when, seq) -- time never runs backwards, and same-tick events

@@ -71,7 +71,8 @@ updateRow(UnvmeDriver &driver, QueueAllocator &queues,
             auto page = std::make_shared<std::vector<std::byte>>(
                 driver.pageSize(), std::byte{0});
             patchSlot(*page, desc, row, vals);
-            driver.writePage(queue, lpn, page, std::move(finish), trace_id);
+            driver.writePage(queue, lpn, std::move(page), std::move(finish),
+                             trace_id);
             return;
         }
 
@@ -84,12 +85,12 @@ updateRow(UnvmeDriver &driver, QueueAllocator &queues,
              finish = std::move(finish)](const PageView &view) mutable {
                 RECSSD_CAPTURES_MAPPING("driver outlives the held queue "
                                         "slot; released only via finish");
-                auto page = std::make_shared<std::vector<std::byte>>(
-                    driver.pageSize());
-                view.copyOut(0, *page);
+                // The one copy of the RMW: the write below hands this
+                // buffer down to the flash page by reference.
+                auto page = view.copyPage();
                 patchSlot(*page, desc, row, vals);
-                driver.writePage(queue, lpn, page, std::move(finish),
-                                 trace_id);
+                driver.writePage(queue, lpn, std::move(page),
+                                 std::move(finish), trace_id);
             },
             trace_id);
     });

@@ -8,15 +8,35 @@
 namespace recssd
 {
 
-void
-DataStore::write(Ppn ppn, std::span<const std::byte> data)
+DataStore::Page
+DataStore::makePage(std::span<const std::byte> data) const
 {
     recssd_assert(data.size() <= pageSize_,
                   "write larger than page (%zu > %u)", data.size(),
                   pageSize_);
-    auto &page = stored_[ppn];
-    page.assign(pageSize_, std::byte{0});
-    std::memcpy(page.data(), data.data(), data.size());
+    auto page = std::make_shared<std::vector<std::byte>>(data.begin(),
+                                                         data.end());
+    page->resize(pageSize_);
+    return page;
+}
+
+std::shared_ptr<std::vector<std::byte>>
+DataStore::copyPage(Ppn ppn) const
+{
+    if (Page page = stored(ppn))
+        return std::make_shared<std::vector<std::byte>>(*page);
+    auto page = std::make_shared<std::vector<std::byte>>(pageSize_);
+    read(ppn, 0, *page);
+    return page;
+}
+
+void
+DataStore::write(Ppn ppn, Page data)
+{
+    recssd_assert(data != nullptr, "write without a page buffer");
+    if (data->size() != pageSize_)
+        data = makePage(*data);
+    stored_[ppn] = std::move(data);
 }
 
 const std::pair<const Ppn, DataStore::Region> *
@@ -46,7 +66,7 @@ DataStore::read(Ppn ppn, std::size_t offset, std::span<std::byte> out) const
     if (!stored_.empty()) {
         auto it = stored_.find(ppn);
         if (it != stored_.end()) {
-            std::memcpy(out.data(), it->second.data() + offset,
+            std::memcpy(out.data(), it->second->data() + offset,
                         out.size());
             return;
         }

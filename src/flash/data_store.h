@@ -13,6 +13,11 @@
  *
  * Reads can ask for a byte sub-range so a 256B embedding vector does
  *   not force a 16KB materialization.
+ *
+ * Explicit pages are immutable, shared buffers (`Page`): a write
+ * stores the buffer the host submitted by reference, and GC or a
+ * hot-row migration stores the source page's buffer at the
+ * destination PPN. Erasing the source drops only its reference.
  */
 
 #ifndef RECSSD_FLASH_DATA_STORE_H
@@ -22,6 +27,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -45,12 +51,48 @@ class DataStore
                                          std::size_t offset,
                                          std::span<std::byte> out)>;
 
+    /** An explicit page's bytes, shared by every PPN holding them. */
+    using Page = std::shared_ptr<const std::vector<std::byte>>;
+
     explicit DataStore(unsigned page_size) : pageSize_(page_size) {}
 
     unsigned pageSize() const { return pageSize_; }
 
-    /** Store explicit page content (copies the bytes). */
-    void write(Ppn ppn, std::span<const std::byte> data);
+    /** Copy bytes into a fresh page buffer, zero-padding a short one
+     *  to the page size (one copy, no separate fill of the rest). */
+    Page makePage(std::span<const std::byte> data) const;
+
+    /** Store explicit page content (copies the bytes once). */
+    void write(Ppn ppn, std::span<const std::byte> data)
+    {
+        write(ppn, makePage(data));
+    }
+
+    /** Store explicit page content by reference; the buffer must not
+     *  change afterwards. One shorter than a page is copied padded. */
+    void write(Ppn ppn, Page data);
+
+    /** The page's explicit buffer, or null (synthetic or unwritten). */
+    Page
+    stored(Ppn ppn) const
+    {
+        auto it = stored_.find(ppn);
+        return it == stored_.end() ? nullptr : it->second;
+    }
+
+    /** A private, mutable copy of the whole page as `read` sees it,
+     *  made in one pass (a stored page is copied, not zeroed first). */
+    std::shared_ptr<std::vector<std::byte>> copyPage(Ppn ppn) const;
+
+    /** The whole page as an immutable buffer: the stored buffer itself,
+     *  or for a synthetic or unwritten page a copy made once. */
+    Page
+    sharePage(Ppn ppn) const
+    {
+        if (Page page = stored(ppn))
+            return page;
+        return copyPage(ppn);
+    }
 
     /**
      * Copy `out.size()` bytes starting at `offset` within the page.
@@ -93,7 +135,7 @@ class DataStore
     const std::pair<const Ppn, Region> *findRegion(Ppn ppn) const;
 
     unsigned pageSize_;
-    std::unordered_map<Ppn, std::vector<std::byte>> stored_;
+    std::unordered_map<Ppn, Page> stored_;
     std::map<Ppn, Region> regions_;  // keyed by region start
     /** The region findRegion last returned: page gathers hit the same
      *  table region back to back. Map nodes never move. */

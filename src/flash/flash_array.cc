@@ -175,15 +175,15 @@ FlashArray::finishRead(std::uint32_t op)
 }
 
 void
-FlashArray::writePage(Ppn ppn, std::span<const std::byte> data,
-                      DoneCallback done, std::uint64_t trace_id)
+FlashArray::writePage(Ppn ppn, DataStore::Page data, DoneCallback done,
+                      std::uint64_t trace_id)
 {
     recssd_assert(ppn < params_.totalPages(), "PPN out of range");
     auto addr = FlashAddress::decode(ppn, params_);
     pageWrites_.inc();
 
     // Functional content lands immediately; only timing is deferred.
-    store_.write(ppn, data);
+    store_.write(ppn, std::move(data));
 
     SpanId span = invalidSpan;
     if (Tracer *tracer = tracerOf(eq_)) {

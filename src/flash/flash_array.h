@@ -51,6 +51,16 @@ class PageView
         store_->read(ppn_, offset, out);
     }
 
+    /** @{ The whole page: a private copy to modify (DataStore::copyPage)
+     *  or an immutable buffer to store elsewhere (DataStore::sharePage). */
+    std::shared_ptr<std::vector<std::byte>>
+    copyPage() const
+    {
+        return store_->copyPage(ppn_);
+    }
+    DataStore::Page sharePage() const { return store_->sharePage(ppn_); }
+    /** @} */
+
     Ppn ppn() const { return ppn_; }
 
   private:
@@ -83,10 +93,18 @@ class FlashArray
     void readPage(Ppn ppn, ReadCallback done, std::uint64_t trace_id = 0)
         RECSSD_DEFERS_CALLBACK;
 
-    /** Program a physical page with the given content. */
+    /** Program a physical page with the given content. The page keeps
+     *  `data` by reference (no copy); it must not change afterwards. */
+    void writePage(Ppn ppn, DataStore::Page data, DoneCallback done,
+                   std::uint64_t trace_id = 0) RECSSD_DEFERS_CALLBACK;
+
+    /** As above, copying the bytes into a fresh page buffer. */
     void writePage(Ppn ppn, std::span<const std::byte> data,
                    DoneCallback done, std::uint64_t trace_id = 0)
-        RECSSD_DEFERS_CALLBACK;
+        RECSSD_DEFERS_CALLBACK
+    {
+        writePage(ppn, store_.makePage(data), std::move(done), trace_id);
+    }
 
     /** Erase a whole block (identified by any PPN inside it). */
     void eraseBlock(Ppn any_ppn_in_block, DoneCallback done)

@@ -115,15 +115,15 @@ Ftl::hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id)
 }
 
 void
-Ftl::hostWrite(Lpn lpn, std::span<const std::byte> data, DoneCallback done,
+Ftl::hostWrite(Lpn lpn, DataStore::Page data, DoneCallback done,
                std::uint64_t trace_id)
 {
     hostWrites_.inc();
     SpanId span = beginCpuSpan(eq_, cpuTrackName_, "write_cmd", trace_id);
     std::uint32_t op = writeCmds_.put(
-        WriteCmd{std::move(done), {data.begin(), data.end()}, span, trace_id});
+        WriteCmd{std::move(done), std::move(data), span, trace_id});
     cpu_.acquire(params_.writeCmdCpu, [this, lpn, op]() {
-        const WriteCmd &cmd = writeCmds_[op];
+        WriteCmd &cmd = writeCmds_[op];
         endSpan(eq_, cmd.span);
         Ppn old = map_.lookup(lpn);
         BlockManager::Stream stream = layout_ && layout_->isHot(lpn)
@@ -145,7 +145,7 @@ Ftl::hostWrite(Lpn lpn, std::span<const std::byte> data, DoneCallback done,
         cache_.invalidate(lpn);
         if (layout_)
             layout_->onDataInvalidated(lpn);
-        flash_.writePage(ppn, cmd.payload,
+        flash_.writePage(ppn, std::move(cmd.payload),
                          [this, lpn, ppn, op]() {
                              // A newer write to the same LPN may have
                              // remapped it during this program; caching
@@ -329,8 +329,9 @@ Ftl::runGcPass()
                 // Skip pages rewritten by the host while GC was in
                 // flight; their data already moved.
                 if (map_.lookup(lpn) == old_ppn) {
-                    std::vector<std::byte> buf(flash_.params().pageSize);
-                    view.copyOut(0, buf);
+                    // The relocated page shares the source's buffer;
+                    // erasing the source drops only its reference.
+                    DataStore::Page page = view.sharePage();
                     // Re-pack by hotness: GC folds cold rows back into
                     // the cold stream and keeps hot pages clustered.
                     BlockManager::Stream stream =
@@ -347,10 +348,11 @@ Ftl::runGcPass()
                     if (layout_)
                         layout_->onPhysicalMove(lpn, fresh);
                     gcPagesMigrated_.inc();
-                    flash_.writePage(fresh, buf, [remaining, finish_row]() {
-                        if (--*remaining == 0)
-                            finish_row();
-                    });
+                    flash_.writePage(
+                        fresh, std::move(page), [remaining, finish_row]() {
+                            if (--*remaining == 0)
+                                finish_row();
+                        });
                 } else if (--*remaining == 0) {
                     finish_row();
                 }
@@ -410,8 +412,7 @@ Ftl::runMigration(Lpn lpn, Ppn old_ppn)
                 finish();
                 return;
             }
-            std::vector<std::byte> buf(flash_.params().pageSize);
-            view.copyOut(0, buf);
+            DataStore::Page page = view.sharePage();
             Ppn fresh_ppn = blocks_.allocatePage(lpn,
                                                  BlockManager::Stream::Hot);
             if (fresh_ppn == invalidPpn) {
@@ -428,7 +429,7 @@ Ftl::runMigration(Lpn lpn, Ppn old_ppn)
             // may now erase; drop it and re-pin at the fresh PPN once
             // the copy lands.
             layout_->onDataInvalidated(lpn);
-            flash_.writePage(fresh_ppn, buf,
+            flash_.writePage(fresh_ppn, std::move(page),
                              [this, lpn, fresh_ppn, finish]() {
                 // A host write during the program supersedes the
                 // migrated copy; pinning it would serve stale data.

@@ -59,10 +59,20 @@ class Ftl
     void hostRead(Lpn lpn, ReadDone done, std::uint64_t trace_id = 0)
         RECSSD_DEFERS_CALLBACK;
 
-    /** Service a host write of one logical page (log append). */
+    /** Service a host write of one logical page (log append). The
+     *  buffer becomes the stored page by reference: it must not
+     *  change after submission. */
+    void hostWrite(Lpn lpn, DataStore::Page data, DoneCallback done,
+                   std::uint64_t trace_id = 0) RECSSD_DEFERS_CALLBACK;
+
+    /** As above, copying the bytes into a fresh page buffer. */
     void hostWrite(Lpn lpn, std::span<const std::byte> data,
                    DoneCallback done, std::uint64_t trace_id = 0)
-        RECSSD_DEFERS_CALLBACK;
+        RECSSD_DEFERS_CALLBACK
+    {
+        hostWrite(lpn, flash_.store().makePage(data), std::move(done),
+                  trace_id);
+    }
 
     /**
      * Deallocate a logical page (NVMe DSM). The mapping is dropped
@@ -183,9 +193,9 @@ class Ftl
     struct WriteCmd
     {
         DoneCallback done;
-        /** Write payload, copied at submission: the caller's buffer
-         *  may not outlive the simulated DMA. Empty for trims. */
-        std::vector<std::byte> payload;
+        /** Write payload, held by reference until it is programmed.
+         *  Null for trims. */
+        DataStore::Page payload;
         SpanId span = invalidSpan;
         std::uint64_t traceId = 0;
     };

@@ -183,7 +183,7 @@ UnvmeDriver::finishRead(std::uint32_t op)
 
 void
 UnvmeDriver::writePage(unsigned queue, Lpn lpn,
-                       std::shared_ptr<std::vector<std::byte>> data,
+                       std::shared_ptr<const std::vector<std::byte>> data,
                        Done done, std::uint64_t trace_id)
 {
     occupy(queue);

@@ -66,9 +66,11 @@ class UnvmeDriver
      *  down the stack with its owning request. */
     void readPage(unsigned queue, Lpn lpn, ReadDone done,
                   std::uint64_t trace_id = 0);
+    /** Write one logical page. `data` becomes the stored flash page
+     *  by reference, so the caller must not change it afterwards. */
     void writePage(unsigned queue, Lpn lpn,
-                   std::shared_ptr<std::vector<std::byte>> data, Done done,
-                   std::uint64_t trace_id = 0);
+                   std::shared_ptr<const std::vector<std::byte>> data,
+                   Done done, std::uint64_t trace_id = 0);
 
     /** Deallocate one logical page (DSM / trim). */
     void trimPage(unsigned queue, Lpn lpn, Done done,

@@ -124,7 +124,7 @@ HostController::submitWrite(const NvmeCommand &cmd, WriteDone done)
     Command rec;
     rec.traceId = cmd.traceId;
     rec.lpn = cmd.slba;
-    rec.data = cmd.payload;
+    rec.payload = cmd.payload;
     rec.writeDone = std::move(done);
     fetchCommand(inflight_.put(std::move(rec)),
                  &HostController::writeExecute);
@@ -137,9 +137,9 @@ HostController::writeExecute(std::uint32_t op)
     pcie_.transfer(
         ftl_.flash().params().pageSize,
         [this, op]() {
-            const Command &cmd = inflight_[op];
+            Command &cmd = inflight_[op];
             ftl_.hostWrite(
-                cmd.lpn, *cmd.data,
+                cmd.lpn, std::move(cmd.payload),
                 [this, op]() {
                     postCompletion(op, &HostController::writeComplete);
                 },

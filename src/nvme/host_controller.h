@@ -143,7 +143,9 @@ class HostController
         SpanId span = invalidSpan;
         /** Data the completion hands back (read commands). */
         PageView view;
-        /** Write payload, or packed SLS result bytes. */
+        /** Write payload (stored by reference as the flash page). */
+        DataStore::Page payload;
+        /** Packed SLS result bytes. */
         std::shared_ptr<std::vector<std::byte>> data;
         /** SLS commands: the command as the handler sees it. */
         NvmeCommand sls;

@@ -49,8 +49,12 @@ struct NvmeCommand
     Tick submitTick = 0;
     /** Observability: owning trace request id (0 = untraced). */
     std::uint64_t traceId = 0;
-    /** Functional payload for writes / SLS config. */
-    std::shared_ptr<std::vector<std::byte>> payload;
+    /**
+     * Functional payload for writes / SLS config. Immutable once
+     * submitted: a data write's buffer becomes the stored flash page
+     * itself (no copy), so the host must not change it afterwards.
+     */
+    std::shared_ptr<const std::vector<std::byte>> payload;
 };
 
 /** Split an SLS command SLBA into table base and request id. */

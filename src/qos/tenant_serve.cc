@@ -133,38 +133,44 @@ runServeTenants(System &sys, const RunnerOptions &options,
         LoadGenerator gen(spec.arrivals, spec.shape,
                           tenantSeed(config.seed, t, spec.seed));
         gen.setTenant(t);
-        auto arrivals = gen.schedule(total);
-        m.measureStart = base + arrivals[config.warmupQueries].arrival;
+        auto arrivals = std::make_shared<const std::vector<QueryDesc>>(
+            gen.schedule(total));
+        m.measureStart = base + (*arrivals)[config.warmupQueries].arrival;
 
-        for (unsigned i = 0; i < total; ++i) {
-            const QueryDesc &q = arrivals[i];
+        // One lazy series per tenant: the heap holds each tenant's next
+        // arrival, not all of them.
+        std::vector<Tick> arrival_ticks;
+        arrival_ticks.reserve(total);
+        for (const QueryDesc &q : *arrivals)
+            arrival_ticks.push_back(base + q.arrival);
+        eq.scheduleSeries(std::move(arrival_ticks), [qos, measures, &config,
+                                                     t, base, arrivals](
+                                                        std::size_t idx) {
+            RECSSD_CAPTURES_MAPPING("qos/measures/arrivals are "
+                                    "shared_ptrs; config is the harness's "
+                                    "stack object and runServeTenants "
+                                    "drains the queue before returning");
+            const auto i = static_cast<unsigned>(idx);
+            const QueryDesc &q = (*arrivals)[i];
             const Tick arrive = base + q.arrival;
-            eq.schedule(arrive, [qos, measures, &config, t, i, arrive,
-                                 shape = q.shape]() {
-                RECSSD_CAPTURES_MAPPING("qos/measures are shared_ptrs; "
-                                        "config is the harness's stack "
-                                        "object and runServeTenants "
-                                        "drains the queue before "
-                                        "returning");
-                qos->submit(t, shape, [measures, &config, t, i,
-                                       arrive](const QueryTimes &qt) {
-                    Measure &m = *(*measures)[t];
-                    ++m.completed;
-                    m.lastDone = qt.complete;
-                    if (i < config.warmupQueries)
-                        return;
-                    // Completion events are completion-time ordered —
-                    // the order the windowed monitor requires.
-                    if (m.mon)
-                        m.mon->record(qt.complete, qt.complete - arrive);
-                    m.latency.record(qt.complete - arrive);
-                    m.queueing.record(qt.dispatch - arrive);
-                    m.service.record(qt.complete - qt.dispatch);
-                    if (qt.degraded)
-                        ++m.degraded;
-                });
+            qos->submit(t, q.shape, [measures, &config, t, i,
+                                     arrive](const QueryTimes &qt) {
+                Measure &m = *(*measures)[t];
+                ++m.completed;
+                m.lastDone = qt.complete;
+                if (i < config.warmupQueries)
+                    return;
+                // Completion events are completion-time ordered — the
+                // order the windowed monitor requires.
+                if (m.mon)
+                    m.mon->record(qt.complete, qt.complete - arrive);
+                m.latency.record(qt.complete - arrive);
+                m.queueing.record(qt.dispatch - arrive);
+                m.service.record(qt.complete - qt.dispatch);
+                if (qt.degraded)
+                    ++m.degraded;
             });
-        }
+        });
 
         // Tenant-owned update stream: flushes race this tenant's own
         // reads for its QoS budget (chargeAux advances the same limit
@@ -179,7 +185,7 @@ runServeTenants(System &sys, const RunnerOptions &options,
             m.updates->setAdmission([qos, t](Tick now) {
                 return qos->chargeAux(t, now);
             });
-            m.updates->scheduleUntil(arrivals.back().arrival);
+            m.updates->scheduleUntil(arrivals->back().arrival);
         }
     }
 

@@ -1,5 +1,9 @@
 #include "src/qos/tenant_spec.h"
 
+#include <cctype>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -16,22 +20,36 @@ namespace
 double
 parseDouble(const std::string &text, const std::string &where)
 {
+    double v = 0.0;
     try {
-        return std::stod(text);
+        v = std::stod(text);
     } catch (...) {
         panic("tenant spec: bad number '%s' in '%s'", text.c_str(),
               where.c_str());
     }
+    // `inf` and `nan` parse, but no knob has a meaning for them.
+    if (!std::isfinite(v))
+        panic("tenant spec: non-finite number '%s' in '%s'", text.c_str(),
+              where.c_str());
+    return v;
 }
 
 unsigned
 parseUnsigned(const std::string &text, const std::string &where)
 {
-    char *end = nullptr;
-    unsigned long v = std::strtoul(text.c_str(), &end, 10);
-    if (end == text.c_str() || *end != '\0')
+    // Digits only: strtoul would wrap a leading '-' to a huge count.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
         panic("tenant spec: bad integer '%s' in '%s'", text.c_str(),
               where.c_str());
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (*end != '\0')
+        panic("tenant spec: bad integer '%s' in '%s'", text.c_str(),
+              where.c_str());
+    if (errno == ERANGE || v > UINT_MAX)
+        panic("tenant spec: integer '%s' out of range in '%s'",
+              text.c_str(), where.c_str());
     return static_cast<unsigned>(v);
 }
 

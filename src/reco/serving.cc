@@ -324,17 +324,23 @@ runServe(ModelRunner &runner, const ServeConfig &config)
 
     // Arrival ticks are relative to the start of the run; rebase on
     // the current clock so callers may warm the system up (prefill,
-    // profiling) before serving. Zero-base runs are unchanged.
+    // profiling) before serving. Zero-base runs are unchanged. The
+    // arrivals are one lazy series: the heap holds only the next one.
     const Tick base = eq.now();
-    for (unsigned i = 0; i < total; ++i) {
-        const QueryDesc &q = arrivals[i];
-        eq.schedule(base + q.arrival, [&scheduler, &config, m, mon, i,
-                                       shape = q.shape]() {
-            RECSSD_CAPTURES_MAPPING("scheduler/config are the serve "
-                                    "harness's stack objects; runServe "
-                                    "drains the queue before returning");
-            scheduler.submit(shape, [&config, m, mon,
-                                     i](const QueryTimes &t) {
+    std::vector<Tick> arrival_ticks;
+    arrival_ticks.reserve(total);
+    for (const QueryDesc &q : arrivals)
+        arrival_ticks.push_back(base + q.arrival);
+    eq.scheduleSeries(
+        std::move(arrival_ticks),
+        [&scheduler, &config, &arrivals, m, mon](std::size_t idx) {
+            RECSSD_CAPTURES_MAPPING("scheduler/config/arrivals are the "
+                                    "serve harness's stack objects; "
+                                    "runServe drains the queue before "
+                                    "returning");
+            const auto i = static_cast<unsigned>(idx);
+            scheduler.submit(arrivals[i].shape, [&config, m, mon,
+                                                 i](const QueryTimes &t) {
                 ++m->completed;
                 m->lastDone = t.complete;
                 if (i < config.warmupQueries)
@@ -352,7 +358,6 @@ runServe(ModelRunner &runner, const ServeConfig &config)
                     ++m->sloMet;
             });
         });
-    }
     // Mixed read-write serving: the update stream spans the query
     // arrival horizon, so write traffic races reads for NVMe queues,
     // firmware CPU, flash dies — and feeds GC.

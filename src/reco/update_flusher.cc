@@ -39,8 +39,17 @@ UpdateFlusher::scheduleUntil(Tick horizon)
     // Stream time is relative; rebase on the current clock so callers
     // may warm the system up (prefill, profiling) before serving.
     Tick base = sys_.eq().now();
-    for (const UpdateDesc &u : stream.until(horizon))
-        sys_.eq().schedule(base + u.arrival, [this, u]() { submit(u); });
+    auto updates =
+        std::make_shared<const std::vector<UpdateDesc>>(stream.until(horizon));
+    // One lazy series per call, so a second call adds a second stream.
+    std::vector<Tick> ticks;
+    ticks.reserve(updates->size());
+    for (const UpdateDesc &u : *updates)
+        ticks.push_back(base + u.arrival);
+    sys_.eq().scheduleSeries(std::move(ticks),
+                             [this, updates](std::size_t i) {
+                                 submit((*updates)[i]);
+                             });
 }
 
 void

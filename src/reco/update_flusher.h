@@ -54,7 +54,9 @@ class UpdateFlusher
 
     /**
      * Generate the whole stream up to `horizon` and schedule each
-     * submit on the event queue at its arrival tick.
+     * submit on the event queue at its arrival tick, as one lazy
+     * series (`EventQueue::scheduleSeries`). Each call schedules one
+     * more stream.
      */
     void scheduleUntil(Tick horizon);
 

@@ -14,17 +14,27 @@
  * high-water mark during the warm-up and are reused after it, so a
  * measured op must stay far below one allocation per ten executed
  * events.
+ *
+ * The write path is held to page buffers: a written 16 KB page is
+ * stored by reference, so a warm GC relocation allocates no page-sized
+ * buffer and a warm packed-row update allocates exactly one (its
+ * read-modify-write copy).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <vector>
 
 #include "src/embedding/baseline_backend.h"
 #include "src/embedding/ndp_backend.h"
 #include "src/embedding/synthetic_values.h"
+#include "src/embedding/table_update.h"
+#include "src/flash/flash_array.h"
+#include "src/ftl/ftl.h"
 #include "src/trace/trace_gen.h"
 #include "tests/test_helpers.h"
 
@@ -32,12 +42,23 @@ namespace
 {
 
 std::uint64_t allocations = 0;
+/** Allocations of at least `pageBytes` bytes: page buffers. */
+std::uint64_t pageAllocations = 0;
+std::size_t pageBytes = SIZE_MAX;
+
+void *
+countedAllocNothrow(std::size_t bytes) noexcept
+{
+    ++allocations;
+    if (bytes >= pageBytes)
+        ++pageAllocations;
+    return std::malloc(bytes ? bytes : 1);
+}
 
 void *
 countedAlloc(std::size_t bytes)
 {
-    ++allocations;
-    if (void *p = std::malloc(bytes ? bytes : 1))
+    if (void *p = countedAllocNothrow(bytes))
         return p;
     throw std::bad_alloc();
 }
@@ -59,15 +80,13 @@ operator new[](std::size_t bytes)
 void *
 operator new(std::size_t bytes, const std::nothrow_t &) noexcept
 {
-    ++allocations;
-    return std::malloc(bytes ? bytes : 1);
+    return countedAllocNothrow(bytes);
 }
 
 void *
 operator new[](std::size_t bytes, const std::nothrow_t &) noexcept
 {
-    ++allocations;
-    return std::malloc(bytes ? bytes : 1);
+    return countedAllocNothrow(bytes);
 }
 
 void
@@ -229,6 +248,80 @@ TEST(AllocRegression, WarmBaselineOpAllocatesLessThanOncePerTenEvents)
     RecordProperty("events", static_cast<int>(events));
     EXPECT_LT(per_event, 0.1) << allocs << " allocations over " << events
                               << " events (" << reads << " page reads)";
+}
+
+/** Counts page-sized allocations while alive. */
+class PageAllocationScope
+{
+  public:
+    explicit PageAllocationScope(std::size_t page_bytes)
+    {
+        pageBytes = page_bytes;
+    }
+    ~PageAllocationScope() { pageBytes = SIZE_MAX; }
+    PageAllocationScope(const PageAllocationScope &) = delete;
+    PageAllocationScope &operator=(const PageAllocationScope &) = delete;
+};
+
+TEST(AllocRegression, WarmGcRelocationAllocatesNoPageBuffer)
+{
+    // A bare FTL on the tiny geometry with production-size pages; the
+    // host rewrites random pages with one prebuilt buffer, so every
+    // page-sized allocation in the measured window would be GC's.
+    FlashParams params = test::tinyFlash();
+    params.pageSize = 16384;
+    EventQueue eq;
+    DataStore store(params.pageSize);
+    FlashArray flash(eq, params, store);
+    Ftl ftl(eq, FtlParams{}, flash);
+    const DataStore::Page page = std::make_shared<std::vector<std::byte>>(
+        params.pageSize, std::byte{0x5A});
+    Rng rng(3);
+    auto writeUntilMigrated = [&](std::uint64_t target) {
+        for (int w = 0; w < 20000 && ftl.gcPagesMigrated() < target; ++w) {
+            ftl.hostWrite(rng.uniformInt(100), page, nullptr);
+            eq.run();
+        }
+    };
+    writeUntilMigrated(50);  // warm-up: pools, maps, GC state
+    ASSERT_GE(ftl.gcPagesMigrated(), 50u) << "workload must relocate";
+
+    PageAllocationScope scope(params.pageSize);
+    const std::uint64_t migrated_before = ftl.gcPagesMigrated();
+    const std::uint64_t pages_before = pageAllocations;
+    writeUntilMigrated(migrated_before + 100);
+    ASSERT_GE(ftl.gcPagesMigrated() - migrated_before, 100u);
+    EXPECT_EQ(pageAllocations - pages_before, 0u)
+        << "GC relocation must share the source page's buffer";
+}
+
+TEST(AllocRegression, WarmPackedRowUpdateAllocatesOnePageBuffer)
+{
+    System sys(test::smallSystem());
+    // 64 rows per page: every update is a read-modify-write.
+    EmbeddingTableDesc table = sys.installTable(10'000, 32, 4, 64);
+    auto update = [&](RowId row, std::uint64_t version) {
+        bool done = false;
+        updateRow(sys.driver(), sys.queues(), table, row,
+                  synthetic::updatedVector(table, row, version),
+                  [&]() { done = true; });
+        sys.run();
+        EXPECT_TRUE(done);
+    };
+    // Warm-up: RMWs of pristine and already-rewritten pages.
+    for (RowId row : {RowId(0), RowId(1), RowId(500), RowId(501)})
+        update(row, 1);
+
+    PageAllocationScope scope(sys.driver().pageSize());
+    // A synthetic page (materialised once for the patch) and an
+    // explicitly stored one (copied once): one page buffer each.
+    const RowId pristine = 5000;
+    const RowId rewritten = 2;  // on row 0's page
+    for (RowId row : {pristine, rewritten}) {
+        const std::uint64_t before = pageAllocations;
+        update(row, 2);
+        EXPECT_EQ(pageAllocations - before, 1u) << "row " << row;
+    }
 }
 
 }  // namespace

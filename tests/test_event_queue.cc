@@ -321,5 +321,241 @@ TEST(EventQueue, PendingCallbacksAreDestroyedWithTheQueue)
     EXPECT_EQ(token.use_count(), 1) << "pending callback leaked";
 }
 
+/* ------------------------------------------------------------------ */
+/* Lazy series: differential against eager scheduling of every item.  */
+/* ------------------------------------------------------------------ */
+
+TEST(EventQueueSeries, ItemsFireInOrderAtTheirTicks)
+{
+    EventQueue eq;
+    std::vector<std::pair<Tick, std::size_t>> fired;
+    eq.scheduleSeries({5, 5, 9, 20}, [&](std::size_t i) {
+        fired.emplace_back(eq.now(), i);
+    });
+    eq.run();
+    std::vector<std::pair<Tick, std::size_t>> want{
+        {5, 0}, {5, 1}, {9, 2}, {20, 3}};
+    EXPECT_EQ(fired, want);
+    EXPECT_EQ(eq.executed(), 4u);
+    EXPECT_TRUE(eq.empty());
+}
+
+TEST(EventQueueSeries, PendingStaysPositiveUntilTheLastItem)
+{
+    EventQueue eq;
+    constexpr std::size_t n = 6;
+    std::size_t fired = 0;
+    eq.scheduleSeries({1, 2, 2, 3, 7, 7}, [&](std::size_t i) {
+        EXPECT_EQ(i, fired);
+        ++fired;
+    });
+    EXPECT_EQ(eq.pending(), 1u) << "only the next item sits in the heap";
+    while (fired < n) {
+        ASSERT_GT(eq.pending(), 0u) << fired << " of " << n << " fired";
+        ASSERT_TRUE(eq.runOne());
+    }
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_FALSE(eq.runOne());
+}
+
+TEST(EventQueueSeries, EmptySeriesSchedulesNothing)
+{
+    EventQueue eq;
+    eq.scheduleSeries({}, [](std::size_t) { FAIL(); });
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.run(), 0u);
+}
+
+TEST(EventQueueSeriesDeathTest, RejectsUnsortedOrPastTicks)
+{
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            eq.scheduleSeries({4, 3}, [](std::size_t) {});
+        },
+        "non-decreasing");
+    EXPECT_DEATH(
+        {
+            EventQueue eq;
+            eq.schedule(10, []() {});
+            eq.run();
+            eq.scheduleSeries({9, 12}, [](std::size_t) {});
+        },
+        "series starts in the past");
+}
+
+/**
+ * One seeded run, with series either lazy (scheduleSeries) or eager
+ * (one schedule() per item, at the same point in program order).
+ * Every fired event records (tick, audit seq, id) and spawns ordinary
+ * children -- 40% at the same tick -- and now and then a new series
+ * starting at the current tick; all of it is a pure function of
+ * (seed, id), so two runs act identically while their pop orders agree.
+ */
+class SeriesRun
+{
+  public:
+    struct Pop
+    {
+        Tick when;
+        std::uint64_t seq;
+        std::uint64_t id;
+        bool operator==(const Pop &) const = default;
+    };
+
+    SeriesRun(std::uint64_t seed, bool lazy) : seed_(seed), lazy_(lazy) {}
+
+    /** Ordinary events on a coarse grid, two series over the same
+     *  range, then more ordinary events: every series item ties with
+     *  ordinary events scheduled both before and after it. */
+    void
+    seed()
+    {
+        Rng rng(seed_);
+        for (int i = 0; i < 60; ++i)
+            event(10 * rng.uniformInt(40));
+        series(ticks(rng, 0, 150));
+        for (int i = 0; i < 60; ++i)
+            event(10 * rng.uniformInt(40));
+        series(ticks(rng, 0, 150));
+        for (int i = 0; i < 60; ++i)
+            event(10 * rng.uniformInt(40));
+    }
+
+    EventQueue eq;
+    std::vector<Pop> pops;
+    std::size_t itemsLeft = 0;  ///< series items not yet fired
+
+  private:
+    static constexpr std::uint64_t kSeriesBit = 1ull << 62;
+
+    /** Sorted ticks from `start`, many repeated, on the event grid. */
+    static std::vector<Tick>
+    ticks(Rng &rng, Tick start, std::size_t n)
+    {
+        std::vector<Tick> out;
+        Tick t = start;
+        for (std::size_t i = 0; i < n; ++i) {
+            t += rng.bernoulli(0.4) ? 0 : 10 * (1 + rng.uniformInt(3));
+            out.push_back(t);
+        }
+        return out;
+    }
+
+    void
+    event(Tick when)
+    {
+        std::uint64_t id = nextEvent_++;
+        eq.schedule(when, [this, id]() { fire(id); });
+    }
+
+    void
+    series(std::vector<Tick> at)
+    {
+        std::uint64_t base = kSeriesBit | (nextSeries_++ << 32);
+        itemsLeft += at.size();
+        if (lazy_) {
+            eq.scheduleSeries(std::move(at), [this, base](std::size_t i) {
+                --itemsLeft;
+                fire(base | i);
+            });
+            return;
+        }
+        for (std::size_t i = 0; i < at.size(); ++i) {
+            eq.schedule(at[i], [this, base, i]() {
+                --itemsLeft;
+                fire(base | i);
+            });
+        }
+    }
+
+    void
+    fire(std::uint64_t id)
+    {
+        pops.push_back({eq.now(), eq.auditLastSeq(), id});
+        Rng rng(seed_ * 0x9E3779B97F4A7C15ull + id);
+        std::uint64_t kids = rng.uniformInt(3);
+        for (std::uint64_t k = 0; k < kids && nextEvent_ < 4000; ++k) {
+            Tick delay = rng.bernoulli(0.4) ? 0 : 10 * rng.uniformInt(4);
+            event(eq.now() + delay);
+        }
+        if (nextSeries_ < 5 && rng.bernoulli(0.01))
+            series(ticks(rng, eq.now(), 40));
+    }
+
+    std::uint64_t seed_;
+    bool lazy_;
+    std::uint64_t nextEvent_ = 0;
+    std::uint64_t nextSeries_ = 0;
+};
+
+/** Run one seed lazily and eagerly; `stepped` drives both with the
+ *  same runUntil limits (many inside a series) instead of run(). */
+void
+expectSeriesMatchesEager(std::uint64_t seed, bool stepped)
+{
+    SeriesRun lazy(seed, true);
+    SeriesRun eager(seed, false);
+    lazy.seed();
+    eager.seed();
+    ASSERT_LT(lazy.eq.pending(), eager.eq.pending())
+        << "series items must not sit in the heap ahead of time";
+    if (!stepped) {
+        lazy.eq.run();
+        eager.eq.run();
+    } else {
+        Rng rng(seed ^ 0x5E41E5);
+        while (!eager.eq.empty()) {
+            Tick limit = eager.eq.now() + rng.uniformInt(25);
+            lazy.eq.runUntil(limit);
+            eager.eq.runUntil(limit);
+            ASSERT_EQ(lazy.pops, eager.pops) << "seed " << seed;
+            ASSERT_EQ(lazy.eq.now(), eager.eq.now()) << "seed " << seed;
+            ASSERT_EQ(lazy.itemsLeft, eager.itemsLeft) << "seed " << seed;
+            // pending() > 0 exactly when eager scheduling has work left
+            // (MetricSampler relies on it to stop re-arming).
+            ASSERT_EQ(lazy.eq.pending() > 0, eager.eq.pending() > 0)
+                << "seed " << seed;
+            if (lazy.itemsLeft > 0) {
+                ASSERT_GT(lazy.eq.pending(), 0u) << "seed " << seed;
+            }
+        }
+    }
+    EXPECT_TRUE(lazy.eq.empty());
+    EXPECT_EQ(lazy.itemsLeft, 0u);
+    EXPECT_EQ(lazy.pops, eager.pops) << "seed " << seed;
+    EXPECT_EQ(lazy.eq.executed(), eager.eq.executed());
+    EXPECT_GT(lazy.pops.size(), 1000u) << "schedule too small to test";
+}
+
+TEST(EventQueueSeries, RunMatchesEagerScheduling)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        expectSeriesMatchesEager(seed, false);
+}
+
+TEST(EventQueueSeries, RunUntilInsideSeriesMatchesEagerScheduling)
+{
+    for (std::uint64_t seed = 1; seed <= 20; ++seed)
+        expectSeriesMatchesEager(seed, true);
+}
+
+TEST(EventQueueSeries, AuditedPopTraceMatchesEagerWhenAndSeq)
+{
+    // Under the audit each pop records its real (when, seq) key, so
+    // the traces compare the reserved sequence numbers themselves.
+    ScopedAudit audit;
+    for (std::uint64_t seed = 21; seed <= 30; ++seed) {
+        expectSeriesMatchesEager(seed, false);
+        expectSeriesMatchesEager(seed, true);
+    }
+    SeriesRun probe(21, true);
+    probe.seed();
+    probe.eq.run();
+    ASSERT_GT(probe.pops.size(), 2u);
+    EXPECT_NE(probe.pops[1].seq, probe.pops[2].seq)
+        << "the audit must expose real sequence numbers";
+}
+
 }  // namespace
 }  // namespace recssd

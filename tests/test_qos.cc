@@ -115,6 +115,44 @@ TEST(TenantSpecDeathTest, RejectsBadTimes)
     EXPECT_DEATH(slo("ms"), "tenant spec: bad time 'ms'");
 }
 
+TEST(TenantSpecDeathTest, RejectsHostileCounts)
+{
+    auto parse = [](const std::string &kvs) {
+        TenantSet::parse("t:qps=10," + kvs);
+    };
+    // strtoul wraps a sign and the cast truncates past UINT_MAX; both
+    // used to yield huge or wrong counts instead of a parse error.
+    EXPECT_DEATH(parse("queries=-1"), "tenant spec: bad integer '-1'");
+    EXPECT_DEATH(parse("queries=+5"), "tenant spec: bad integer '\\+5'");
+    EXPECT_DEATH(parse("queries=99999999999"),
+                 "tenant spec: integer '99999999999' out of range");
+    EXPECT_DEATH(parse("batch=4294967297"),
+                 "tenant spec: integer '4294967297' out of range");
+    EXPECT_DEATH(parse("seed=-7"), "tenant spec: bad integer '-7'");
+    EXPECT_DEATH(parse("queries=5x"), "tenant spec: bad integer '5x'");
+}
+
+TEST(TenantSpecDeathTest, RejectsNonFiniteNumbers)
+{
+    // qps=inf used to pass parsing and trip the load generator's
+    // "exponential mean must be positive" deep inside the run.
+    EXPECT_DEATH(TenantSet::parse("t:qps=inf"),
+                 "tenant spec: non-finite number 'inf'");
+    EXPECT_DEATH(TenantSet::parse("t:qps=nan"),
+                 "tenant spec: non-finite number 'nan'");
+    EXPECT_DEATH(TenantSet::parse("t:qps=10,weight=inf"),
+                 "tenant spec: non-finite number 'inf'");
+    EXPECT_DEATH(TenantSet::parse("t:qps=10,limit=-inf"),
+                 "tenant spec: non-finite number '-inf'");
+}
+
+TEST(TenantSpec, AcceptsLargestCount)
+{
+    TenantSet set = TenantSet::parse("t:qps=10,seed=4294967295,queries=7");
+    EXPECT_EQ(set.tenants[0].seed, 4294967295u);
+    EXPECT_EQ(set.tenants[0].queries, 7u);
+}
+
 TEST(TenantSpec, LoadsFromFile)
 {
     std::string path = testing::TempDir() + "/tenants_qos_test.txt";

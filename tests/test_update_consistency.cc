@@ -29,6 +29,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <optional>
 #include <set>
@@ -41,6 +42,8 @@
 #include "src/embedding/ndp_backend.h"
 #include "src/embedding/synthetic_values.h"
 #include "src/embedding/table_update.h"
+#include "src/flash/flash_array.h"
+#include "src/ftl/ftl.h"
 #include "src/reco/model_runner.h"
 #include "src/reco/serving.h"
 #include "tests/test_helpers.h"
@@ -303,17 +306,123 @@ struct RecipeOutcome
     std::vector<float> newv;
     std::uint64_t redirects = 0;
     std::uint64_t gcRunsDuringRace = 0;
+    /** @{ gcRelocationRace only: the destination shared the source's
+     *  buffer, and the source PPN was uncovered (erased) at the end. */
+    bool sharedBuffer = false;
+    bool sourceCovered = true;
+    /** @} */
 };
 
 /**
- * The exact interleaving the fence exists for, constructed step by
- * step rather than found by sweeping:
+ * Steps 1 and 2 of the recipes below, on a drive with narrow GC rows
+ * (2 x 1 x 4 pages, same as raceSweep):
  *
  *  1. Seal an overlay row whose only valid page is the target row's
  *     current page (write the target, fill the row with neighbours,
  *     rewrite the neighbours elsewhere).
  *  2. Park the drive exactly at the GC low watermark with a 7/8-full
  *     active row, so the next two allocations tip it over.
+ */
+struct TearRig
+{
+    static SystemConfig
+    config(bool disable_fence, unsigned gc_high_rows = 0)
+    {
+        SystemConfig cfg;
+        cfg.ssd.flash = test::tinyFlash();
+        cfg.ssd.flash.diesPerChannel = 1;
+        cfg.ssd.flash.pagesPerBlock = 4;
+        cfg.ssd.flash.blocksPerDie = 24;
+        cfg.ssd.ftl.pageCachePages = 8;
+        cfg.ssd.sls.disableWriteFence = disable_fence;
+        if (gc_high_rows)
+            cfg.ssd.ftl.gcHighWatermarkRows = gc_high_rows;
+        return cfg;
+    }
+
+    explicit TearRig(bool disable_fence, unsigned gc_high_rows = 0)
+        : cfg(config(disable_fence, gc_high_rows)),
+          sys(cfg),
+          table(sys.installTable(64, 8)),
+          ndp(sys.eq(), sys.cpu(), sys.driver(), sys.queues(),
+              NdpSlsBackend::Options{})
+    {
+        auto &blocks = sys.ssd().ftl().blocks();
+        const std::uint64_t row_pages = blocks.pagesPerRow();
+        // Step 1: the victim row — target's page plus its neighbours,
+        // then move the neighbours on so the target's page is the
+        // row's only valid page.
+        put(0, 1);
+        for (RowId r = 1; r < row_pages; ++r)
+            put(r, 1);
+        for (RowId r = 1; r < row_pages; ++r)
+            put(r, 2);
+
+        // Step 2: cyclic scratch overwrites walk free rows down to the
+        // low watermark, then top the active row up to one free slot.
+        // The cycle spans three rows, so (a) the active row never
+        // holds an already-invalidated slot (a page recurs only after
+        // the row sealed), and (b) all the garbage left behind is
+        // reclaimable — GC can always climb back to its high watermark
+        // instead of churning live pages forever.
+        scratchSpan = 3 * row_pages;
+        while (blocks.freeRows() > cfg.ssd.ftl.gcLowWatermarkRows)
+            putScratch();
+        auto activeUsed = [&]() -> std::uint32_t {
+            for (std::uint64_t r = 0; r < blocks.numRows(); ++r)
+                if (blocks.rowState(r) == BlockManager::RowState::Active)
+                    return blocks.rowValidCount(r);
+            return 0;
+        };
+        while (activeUsed() + 1 < row_pages)
+            putScratch();
+        EXPECT_EQ(sys.ssd().ftl().gcRuns(), 0u)
+            << "setup must stop short of triggering GC";
+    }
+
+    void
+    put(RowId row, std::uint64_t ver)
+    {
+        bool done = false;
+        updateRow(sys.driver(), sys.queues(), table, row,
+                  versionVector(table, row, ver), [&]() { done = true; });
+        sys.run();
+        EXPECT_TRUE(done);
+    }
+
+    Lpn scratchLpn() { return scratch + (nextScratch++ % scratchSpan); }
+
+    /** Issue one scratch page write on `queue` (not drained). */
+    void
+    writeScratch(unsigned queue, std::function<void()> done)
+    {
+        auto data = std::make_shared<std::vector<std::byte>>(
+            sys.driver().pageSize(), std::byte{0x5A});
+        sys.driver().writePage(queue, scratchLpn(), data, std::move(done));
+    }
+
+    void
+    putScratch()
+    {
+        bool done = false;
+        writeScratch(0, [&]() { done = true; });
+        sys.run();
+        EXPECT_TRUE(done);
+    }
+
+    SystemConfig cfg;
+    System sys;
+    EmbeddingTableDesc table;
+    NdpSlsBackend ndp;
+    const Lpn scratch = 17 * slsTableAlign;
+    std::uint64_t scratchSpan = 1;
+    std::uint64_t nextScratch = 0;
+};
+
+/**
+ * The exact interleaving the fence exists for, constructed step by
+ * step rather than found by sweeping. After the rig's steps 1 and 2:
+ *
  *  3. In one event-drained run: launch the gather (it resolves the
  *     target's PPN and issues the flash read), inject a long firmware
  *     pause, and queue behind it an update to the target (invalidates
@@ -331,72 +440,10 @@ struct RecipeOutcome
 RecipeOutcome
 forcedEvictionRace(bool disable_fence)
 {
-    SystemConfig cfg;
-    cfg.ssd.flash = test::tinyFlash();
-    // Narrow GC rows, same as raceSweep: 2 x 1 x 4 pages per row.
-    cfg.ssd.flash.diesPerChannel = 1;
-    cfg.ssd.flash.pagesPerBlock = 4;
-    cfg.ssd.flash.blocksPerDie = 24;
-    cfg.ssd.ftl.pageCachePages = 8;
-    cfg.ssd.sls.disableWriteFence = disable_fence;
-    System sys(cfg);
+    TearRig rig(disable_fence);
+    System &sys = rig.sys;
     EventQueue &eq = sys.eq();
-    auto table = sys.installTable(64, 8);
-    NdpSlsBackend ndp(sys.eq(), sys.cpu(), sys.driver(), sys.queues(),
-                      NdpSlsBackend::Options{});
-    auto &blocks = sys.ssd().ftl().blocks();
-    const std::uint64_t row_pages = blocks.pagesPerRow();
-
-    auto put = [&](RowId row, std::uint64_t ver) {
-        bool done = false;
-        updateRow(sys.driver(), sys.queues(), table, row,
-                  versionVector(table, row, ver), [&]() { done = true; });
-        sys.run();
-        EXPECT_TRUE(done);
-    };
-    // Step 1: the victim row — target's page plus its neighbours,
-    // then move the neighbours on so the target's page is the row's
-    // only valid page.
-    put(0, 1);
-    for (RowId r = 1; r < row_pages; ++r)
-        put(r, 1);
-    for (RowId r = 1; r < row_pages; ++r)
-        put(r, 2);
-
-    // Step 2: cyclic scratch overwrites walk free rows down to the
-    // low watermark, then top the active row up to one free slot.
-    // The cycle spans three rows, so (a) the active row never holds
-    // an already-invalidated slot (a page recurs only after the row
-    // sealed), and (b) all the garbage left behind is reclaimable —
-    // GC can always climb back to its high watermark instead of
-    // churning live pages forever.
-    const Lpn scratch = 17 * slsTableAlign;
-    const std::uint64_t scratch_span = 3 * row_pages;
-    std::uint64_t next_scratch = 0;
-    auto scratchLpn = [&]() {
-        return scratch + (next_scratch++ % scratch_span);
-    };
-    auto putScratch = [&]() {
-        bool done = false;
-        auto data = std::make_shared<std::vector<std::byte>>(
-            sys.driver().pageSize(), std::byte{0x5A});
-        sys.driver().writePage(0, scratchLpn(), data,
-                               [&]() { done = true; });
-        sys.run();
-        EXPECT_TRUE(done);
-    };
-    while (blocks.freeRows() > cfg.ssd.ftl.gcLowWatermarkRows)
-        putScratch();
-    auto activeUsed = [&]() -> std::uint32_t {
-        for (std::uint64_t r = 0; r < blocks.numRows(); ++r)
-            if (blocks.rowState(r) == BlockManager::RowState::Active)
-                return blocks.rowValidCount(r);
-        return 0;
-    };
-    while (activeUsed() + 1 < row_pages)
-        putScratch();
-    EXPECT_EQ(sys.ssd().ftl().gcRuns(), 0u)
-        << "setup must stop short of triggering GC";
+    const EmbeddingTableDesc &table = rig.table;
 
     // Step 3: the race itself.
     RecipeOutcome out;
@@ -410,7 +457,7 @@ forcedEvictionRace(bool disable_fence)
     op.indices = {{0}};
     bool gathered = false;
     Tick t0 = eq.now();
-    ndp.run(op, [&](SlsResult r) {
+    rig.ndp.run(op, [&](SlsResult r) {
         out.result = std::move(r);
         gathered = true;
     });
@@ -425,13 +472,9 @@ forcedEvictionRace(bool disable_fence)
         updateRow(sys.driver(), sys.queues(), table, 0,
                   versionVector(table, 0, 2), []() {});
     });
-    eq.schedule(t0 + 50 * usec, [&]() {
-        auto data = std::make_shared<std::vector<std::byte>>(
-            sys.driver().pageSize(), std::byte{0x5A});
-        sys.driver().writePage(1, scratchLpn(), data, []() {});
-    });
+    eq.schedule(t0 + 50 * usec, [&]() { rig.writeScratch(1, []() {}); });
     eq.schedule(t0 + 60 * usec, [&]() {
-        sys.driver().trimPage(2, scratch + 0, []() {});
+        sys.driver().trimPage(2, rig.scratch + 0, []() {});
     });
     sys.run();
     EXPECT_TRUE(gathered);
@@ -481,6 +524,231 @@ TEST(UpdateConsistencyDeathTest, AuditCatchesTornGather)
             forcedEvictionRace(true);
         },
         "torn");
+}
+
+// ---------------------------------------------------------------------------
+// Shared page buffers: a written page is stored once, by reference, and
+// GC relocation stores the same buffer at the destination PPN.
+
+/** A bare FTL on the tiny geometry (8 rows x 32 pages). */
+struct BareFtl
+{
+    FlashParams params = test::tinyFlash();
+    EventQueue eq;
+    DataStore store{params.pageSize};
+    FlashArray flash{eq, params, store};
+    Ftl ftl{eq, FtlParams{}, flash};
+
+    DataStore::Page
+    page(std::uint8_t seed) const
+    {
+        auto data = std::make_shared<std::vector<std::byte>>(params.pageSize);
+        for (std::size_t i = 0; i < data->size(); ++i)
+            (*data)[i] = std::byte(static_cast<std::uint8_t>(seed + i % 7));
+        return data;
+    }
+
+    std::vector<std::byte>
+    read(Lpn lpn)
+    {
+        std::vector<std::byte> out(params.pageSize);
+        ftl.hostRead(lpn, [&](const PageView &view) { view.copyOut(0, out); });
+        eq.run();
+        return out;
+    }
+};
+
+TEST(SharedPages, HostWriteStoresTheSubmittedBuffer)
+{
+    BareFtl d;
+    DataStore::Page data = d.page(9);
+    d.ftl.hostWrite(3, data, nullptr);
+    d.eq.run();
+    EXPECT_EQ(d.store.stored(d.ftl.map().lookup(3)).get(), data.get())
+        << "the write path must not copy the page";
+    EXPECT_EQ(d.read(3), *data);
+}
+
+TEST(SharedPages, GcRelocationSharesTheBufferAndErasingTheSourceKeepsIt)
+{
+    BareFtl d;
+    // Cold pages, written once into the first row; then random hot
+    // overwrites until GC has relocated every cold page.
+    constexpr Lpn kCold = 8;
+    std::vector<DataStore::Page> cold;
+    std::vector<Ppn> home;
+    for (Lpn l = 0; l < kCold; ++l) {
+        cold.push_back(d.page(static_cast<std::uint8_t>(l)));
+        d.ftl.hostWrite(l, cold[l], nullptr);
+        d.eq.run();
+        home.push_back(d.ftl.map().lookup(l));
+    }
+    const DataStore::Page hot = d.page(200);
+    Rng rng(17);
+    std::vector<bool> moved(kCold, false);
+    std::uint64_t shared_seen = 0;   // source and destination both live
+    std::uint64_t erased_seen = 0;   // source row erased, not reused
+    auto check = [&]() {
+        for (Lpn l = 0; l < kCold; ++l) {
+            Ppn now = d.ftl.map().lookup(l);
+            if (now == home[l])
+                continue;
+            moved[l] = true;
+            ASSERT_EQ(d.store.stored(now).get(), cold[l].get())
+                << "LPN " << l << " was relocated with a copy";
+            if (d.store.hasStored(home[l]) &&
+                d.store.stored(home[l]).get() == cold[l].get())
+                ++shared_seen;
+            BlockManager &blocks = d.ftl.blocks();
+            if (blocks.rowState(blocks.rowOf(home[l])) ==
+                BlockManager::RowState::Free) {
+                // Erased and not yet reallocated: the source is gone
+                // even though its bytes live on at `now`.
+                ++erased_seen;
+                EXPECT_FALSE(d.store.covered(home[l])) << "LPN " << l;
+                EXPECT_TRUE(d.store.covered(now)) << "LPN " << l;
+            }
+        }
+    };
+    for (int w = 0; w < 4000 && !std::ranges::all_of(moved, [](bool m) {
+                        return m;
+                    });
+         ++w) {
+        d.ftl.hostWrite(kCold + rng.uniformInt(100), hot, nullptr);
+        while (d.eq.runOne())
+            check();
+    }
+    ASSERT_TRUE(std::ranges::all_of(moved, [](bool m) { return m; }))
+        << "workload must make GC relocate every cold page";
+    EXPECT_GT(d.ftl.gcPagesMigrated(), 0u);
+    EXPECT_GT(shared_seen, 0u) << "never saw source and copy share";
+    EXPECT_GT(erased_seen, 0u) << "never saw an erased source row";
+    for (Lpn l = 0; l < kCold; ++l) {
+        EXPECT_EQ(d.read(l), *cold[l]) << "LPN " << l;
+        // The test's handle plus the live PPN: erasing the source
+        // dropped only its own reference.
+        EXPECT_EQ(cold[l].use_count(), 2) << "LPN " << l;
+    }
+}
+
+/**
+ * The relocation flavour of the forced-eviction tear: the target's
+ * page is not rewritten but moved by GC, so the destination PPN shares
+ * the source's buffer while the source row is erased under the gather.
+ * After the rig's steps 1 and 2, with the GC high watermark at 12 rows
+ * (GC then collects the eight empty rows, a one-page scratch row, and
+ * the target's row, in that order):
+ *
+ *  3. Land two scratch writes and a trim (whose grant starts GC), and
+ *     step the queue until GC starts the pass over the target's row;
+ *     its read of the target page is now in flight.
+ *  4. Launch the gather: it resolves the source PPN before GC's
+ *     firmware step relocates the page.
+ *  5. Step to the relocation, then pause the firmware core, so the
+ *     gather consumes only after the source row has been erased.
+ *
+ * With the fence on, the gather is redirected to the destination and
+ * sums the shared buffer. With it off, it sums the erased source.
+ */
+RecipeOutcome
+gcRelocationRace(bool disable_fence)
+{
+    TearRig rig(disable_fence, 12);
+    System &sys = rig.sys;
+    EventQueue &eq = sys.eq();
+    Ftl &ftl = sys.ssd().ftl();
+    BlockManager &blocks = ftl.blocks();
+    const DataStore &store = ftl.flash().store();
+    const Lpn lpn = rig.table.lpnOf(0);
+    const Ppn source = ftl.map().lookup(lpn);
+    const DataStore::Page buffer = store.stored(source);
+    EXPECT_NE(buffer, nullptr) << "the target page must be host-written";
+
+    RecipeOutcome out;
+    out.oldv = versionVector(rig.table, 0, 1);
+    out.newv = out.oldv;  // moved, never rewritten
+    const std::uint64_t gc_before = ftl.gcRuns();
+    const std::uint64_t redirects_before =
+        sys.ssd().slsEngine().fenceRedirects();
+
+    // Step 3.
+    rig.writeScratch(1, []() {});
+    rig.writeScratch(3, []() {});
+    sys.driver().trimPage(2, rig.scratch + 0, []() {});
+    std::uint64_t passes = ftl.gcRuns();
+    while (true) {
+        if (!eq.runOne()) {
+            ADD_FAILURE() << "GC never collected the target's row";
+            return out;
+        }
+        if (ftl.gcRuns() != passes) {
+            passes = ftl.gcRuns();
+            if (blocks.pickGcVictim() == blocks.rowOf(source))
+                break;
+        }
+    }
+
+    // Step 4.
+    SlsOp op;
+    op.table = &rig.table;
+    op.indices = {{0}};
+    bool gathered = false;
+    rig.ndp.run(op, [&](SlsResult r) {
+        out.result = std::move(r);
+        gathered = true;
+    });
+
+    // Step 5.
+    while (ftl.map().lookup(lpn) == source) {
+        if (!eq.runOne()) {
+            ADD_FAILURE() << "GC never relocated the target page";
+            return out;
+        }
+    }
+    const Ppn dest = ftl.map().lookup(lpn);
+    out.sharedBuffer = store.stored(dest) == buffer;
+    ftl.injectFirmwarePause(50 * msec);
+    sys.run();
+    EXPECT_TRUE(gathered);
+    EXPECT_EQ(store.stored(dest), buffer) << "relocated bytes must survive";
+
+    out.sourceCovered = store.covered(source);
+    out.redirects =
+        sys.ssd().slsEngine().fenceRedirects() - redirects_before;
+    out.gcRunsDuringRace = ftl.gcRuns() - gc_before;
+    return out;
+}
+
+TEST(SharedPages, FenceRedirectsToTheSharedBufferAfterSourceErase)
+{
+    RecipeOutcome o = gcRelocationRace(false);
+    EXPECT_TRUE(o.sharedBuffer) << "GC must share, not copy";
+    EXPECT_FALSE(o.sourceCovered) << "the erased source must be uncovered";
+    EXPECT_GE(o.redirects, 1u) << "the gather must have resolved the source";
+    EXPECT_EQ(o.result, o.oldv);
+}
+
+TEST(SharedPages, DisabledFenceSumsTheErasedRelocationSource)
+{
+    // The bytes living on at the destination must not make the erased
+    // source look intact: without the fence the gather sums zeros.
+    ScopedNoAudit no_audit;
+    RecipeOutcome o = gcRelocationRace(true);
+    EXPECT_TRUE(o.sharedBuffer);
+    EXPECT_FALSE(o.sourceCovered);
+    EXPECT_NE(o.result, o.oldv);
+}
+
+TEST(SharedPagesDeathTest, AuditCatchesTornGatherOnErasedRelocationSource)
+{
+    // covered() follows the PPN, not the buffer: the torn-sum audit
+    // fires on the erased source although its buffer lives on.
+    EXPECT_DEATH(
+        {
+            ScopedAudit audit;
+            gcRelocationRace(true);
+        },
+        "torn SLS gather");
 }
 
 // ---------------------------------------------------------------------------

@@ -104,6 +104,9 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,6 +159,24 @@ usage(const char *argv0)
                  "[--qos-policy dmclock|fifo] [--qos-window N]\n",
                  argv0, argv0);
     std::exit(2);
+}
+
+/**
+ * Value of a count flag: plain decimal digits, at most `max`. A sign,
+ * a fraction, trailing text or an out-of-range value is a usage error
+ * (exit 2), never a wrapped or truncated count.
+ */
+std::uint64_t
+countValue(const char *text, std::uint64_t max, const char *argv0)
+{
+    if (!std::isdigit(static_cast<unsigned char>(text[0])))
+        usage(argv0);
+    errno = 0;
+    char *end = nullptr;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (*end != '\0' || errno == ERANGE || v > max)
+        usage(argv0);
+    return v;
 }
 
 void
@@ -230,6 +251,10 @@ main(int argc, char **argv)
             usage(argv[0]);
         return argv[++i];
     };
+    auto need_count = [&](int &i) {
+        return static_cast<unsigned>(
+            countValue(need_value(i), UINT_MAX, argv[0]));
+    };
 
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -242,30 +267,31 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--k")) {
             k = std::atof(need_value(i));
         } else if (!std::strcmp(arg, "--batch")) {
-            batch = static_cast<unsigned>(std::atoi(need_value(i)));
+            batch = need_count(i);
         } else if (!std::strcmp(arg, "--batches")) {
-            batches = static_cast<unsigned>(std::atoi(need_value(i)));
+            batches = need_count(i);
         } else if (!std::strcmp(arg, "--warmup")) {
-            warmup = static_cast<unsigned>(std::atoi(need_value(i)));
+            warmup = need_count(i);
         } else if (!std::strcmp(arg, "--host-cache")) {
             host_cache = true;
         } else if (!std::strcmp(arg, "--partition")) {
             partition = true;
         } else if (!std::strcmp(arg, "--ssd-cache")) {
+            // Bounded so the byte count below cannot overflow.
             ssd_cache_mb =
-                static_cast<std::uint64_t>(std::atoll(need_value(i)));
+                countValue(need_value(i), UINT64_MAX >> 20, argv[0]);
         } else if (!std::strcmp(arg, "--no-pipeline")) {
             pipeline = false;
         } else if (!std::strcmp(arg, "--all-ssd")) {
             all_ssd = true;
         } else if (!std::strcmp(arg, "--num-ssds")) {
-            num_ssds = static_cast<unsigned>(std::atoi(need_value(i)));
+            num_ssds = need_count(i);
         } else if (!std::strcmp(arg, "--shard-policy")) {
             shard_policy = need_value(i);
         } else if (!std::strcmp(arg, "--layout-policy")) {
             layout_policy = need_value(i);
         } else if (!std::strcmp(arg, "--hot-tier-pages")) {
-            hot_tier_pages = static_cast<unsigned>(std::atoi(need_value(i)));
+            hot_tier_pages = need_count(i);
         } else if (!std::strcmp(arg, "--seed")) {
             seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
         } else if (!std::strcmp(arg, "--stats")) {
@@ -279,15 +305,15 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--burst")) {
             burst = std::atof(need_value(i));
         } else if (!std::strcmp(arg, "--queries")) {
-            queries = static_cast<unsigned>(std::atoi(need_value(i)));
+            queries = need_count(i);
         } else if (!std::strcmp(arg, "--max-batch")) {
-            max_batch = static_cast<unsigned>(std::atoi(need_value(i)));
+            max_batch = need_count(i);
         } else if (!std::strcmp(arg, "--max-wait-us")) {
-            max_wait_us = static_cast<unsigned>(std::atoi(need_value(i)));
+            max_wait_us = need_count(i);
         } else if (!std::strcmp(arg, "--max-inflight")) {
-            max_inflight = static_cast<unsigned>(std::atoi(need_value(i)));
+            max_inflight = need_count(i);
         } else if (!std::strcmp(arg, "--io-queues")) {
-            io_queues = static_cast<unsigned>(std::atoi(need_value(i)));
+            io_queues = need_count(i);
         } else if (!std::strcmp(arg, "--trace-out")) {
             trace_out = need_value(i);
         } else if (!std::strcmp(arg, "--blame-out")) {
@@ -295,14 +321,13 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--util-out")) {
             util_out = need_value(i);
         } else if (!std::strcmp(arg, "--util-bucket-us")) {
-            util_bucket_us =
-                static_cast<unsigned>(std::atoi(need_value(i)));
+            util_bucket_us = need_count(i);
         } else if (!std::strcmp(arg, "--slo-target-us")) {
-            slo_target_us = static_cast<unsigned>(std::atoi(need_value(i)));
+            slo_target_us = need_count(i);
         } else if (!std::strcmp(arg, "--slo-goal")) {
             slo_goal = std::atof(need_value(i));
         } else if (!std::strcmp(arg, "--slo-window-us")) {
-            slo_window_us = static_cast<unsigned>(std::atoi(need_value(i)));
+            slo_window_us = need_count(i);
         } else if (!std::strcmp(arg, "--update-rate")) {
             update_rate = std::atof(need_value(i));
         } else if (!std::strcmp(arg, "--update-skew")) {
@@ -312,24 +337,23 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--metrics-out")) {
             metrics_out = need_value(i);
         } else if (!std::strcmp(arg, "--metrics-interval-us")) {
-            metrics_interval_us =
-                static_cast<unsigned>(std::atoi(need_value(i)));
+            metrics_interval_us = need_count(i);
         } else if (!std::strcmp(arg, "--stats-json")) {
             stats_json = need_value(i);
         } else if (!std::strcmp(arg, "--fault-plan")) {
             fault_plan = need_value(i);
         } else if (!std::strcmp(arg, "--replication")) {
-            replication = static_cast<unsigned>(std::atoi(need_value(i)));
+            replication = need_count(i);
         } else if (!std::strcmp(arg, "--hedge-delay-us")) {
             hedge_delay = need_value(i);
         } else if (!std::strcmp(arg, "--deadline-us")) {
-            deadline_us = static_cast<unsigned>(std::atoi(need_value(i)));
+            deadline_us = need_count(i);
         } else if (!std::strcmp(arg, "--tenants")) {
             tenants_spec = need_value(i);
         } else if (!std::strcmp(arg, "--qos-policy")) {
             qos_policy = need_value(i);
         } else if (!std::strcmp(arg, "--qos-window")) {
-            qos_window = static_cast<unsigned>(std::atoi(need_value(i)));
+            qos_window = need_count(i);
         } else if (!std::strcmp(arg, "--list-models")) {
             listModels();
             return 0;
@@ -420,8 +444,8 @@ main(int argc, char **argv)
     if (hedge_delay == "auto") {
         opt.resil.hedge.mode = HedgeMode::Auto;
     } else if (!hedge_delay.empty()) {
-        long long us = std::atoll(hedge_delay.c_str());
-        if (us <= 0)
+        std::uint64_t us = countValue(hedge_delay.c_str(), UINT_MAX, argv[0]);
+        if (us == 0)
             usage(argv[0]);
         opt.resil.hedge.mode = HedgeMode::Fixed;
         opt.resil.hedge.fixedDelay = Tick(us) * usec;
