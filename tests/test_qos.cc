@@ -533,6 +533,51 @@ TEST(TenantServe, RunToRunDeterminism)
         << "tenant serve stats JSON must be byte-identical run to run";
 }
 
+TEST(TenantServe, SloMonitorPerTenantTargets)
+{
+    // The victim's 1 us target is unmeetable, the antagonist's 10 s
+    // target is always met: each monitor must score its own tenant's
+    // queries against that tenant's target, not a shared one.
+    auto run = [](TenantServeStats &s) {
+        TenantServeConfig cfg = smallMix();
+        cfg.tenants = TenantSet::parse(
+            "victim:model=tiny,qps=50,batch=2,slo=1us,res=25,weight=1,"
+            "queries=20;"
+            "antagonist:model=tiny,qps=200,batch=2,slo=10s,weight=1,"
+            "limit=120,queries=40");
+        cfg.slo.enabled = true;
+        cfg.slo.objective = 0.9;
+        cfg.slo.window = 20 * msec;
+        System sys(test::smallSystem());
+        s = runServeTenants(sys, tinyOptions(), cfg);
+        std::ostringstream os;
+        sys.dumpStatsJson(os);
+        return os.str();
+    };
+    TenantServeStats s;
+    std::string first = run(s);
+
+    ASSERT_EQ(s.perTenant.size(), 2u);
+    for (const auto &pt : s.perTenant) {
+        ASSERT_FALSE(pt.sloWindows.empty()) << pt.name;
+        unsigned windowed = 0;
+        for (const ServeStats::SloWindow &w : pt.sloWindows)
+            windowed += w.queries;
+        EXPECT_EQ(windowed, pt.completedQueries) << pt.name;
+        EXPECT_DOUBLE_EQ(pt.sloMonitorAttainment, pt.sloAttainment)
+            << pt.name;
+    }
+    EXPECT_DOUBLE_EQ(s.perTenant[0].sloMonitorAttainment, 0.0);
+    EXPECT_DOUBLE_EQ(s.perTenant[1].sloMonitorAttainment, 1.0);
+    EXPECT_GT(s.perTenant[0].errorBudgetBurnRate, 0.0);
+    EXPECT_DOUBLE_EQ(s.perTenant[1].errorBudgetBurnRate, 0.0);
+
+    TenantServeStats again;
+    EXPECT_EQ(first, run(again))
+        << "tenant serve stats JSON with SLO monitors must be "
+           "byte-identical run to run";
+}
+
 TEST(TenantServe, TenantUpdatesChargeTheLimitBudget)
 {
     TenantServeConfig cfg;
