@@ -24,7 +24,7 @@ using namespace recssd::bench;
 namespace
 {
 
-ServingStats
+ServeStats
 measure(EmbeddingBackendKind kind, double qps)
 {
     SystemConfig cfg;
@@ -41,13 +41,18 @@ measure(EmbeddingBackendKind kind, double qps)
     opt.trace.k = 1.0;
     ModelRunner runner(sys, modelByName("RM1"), opt);
 
-    ServingConfig scfg;
-    scfg.qps = qps;
+    // One query per dispatch: no coalescing, no in-flight cap.
+    ServeConfig scfg;
+    scfg.arrivals.qps = qps;
+    scfg.shape.minBatch = 8;
+    scfg.shape.maxBatch = 8;
+    scfg.batching.maxBatchSamples = 8;
+    scfg.batching.maxWait = 0;
+    scfg.batching.maxInFlight = ~0u;
     scfg.queries = 80;
     scfg.warmupQueries = 10;
-    scfg.batchSize = 8;
     scfg.latencySlo = 100 * msec;
-    return runOpenLoop(runner, scfg);
+    return runServe(runner, scfg);
 }
 
 }  // namespace

@@ -115,6 +115,19 @@ run_twice serve-1ssd-updates \
 run_twice serve-qos-2tenant \
     --serve --backend ndp --all-ssd --seed 13 \
     --tenants 'victim:model=RM1,qps=10,batch=4,slo=50ms,res=10,weight=1,queries=30;antagonist:model=RM1,qps=40,arrival=bursty,burst=4,batch=4,weight=1,limit=20,update_rate=500,queries=40'
+# SLO monitor and update stream on the plain serve harness: the
+# windowed series, the serve.slo.* and serve.update.* scalars
+# registered after the run, and their late metric columns.
+run_twice serve-1ssd-slo-updates \
+    --serve --model RM1 --backend ndp --all-ssd --num-ssds 1 --batch 4 \
+    --slo-target-us 50000 --slo-window-us 20000 \
+    --update-rate 500 --queries 30 --qps 20 --seed 13
+# The same on the tenant harness: one monitor per tenant against its
+# own target, beside a tenant-owned update stream.
+run_twice serve-qos-slo-updates \
+    --serve --backend ndp --all-ssd --seed 13 \
+    --slo-target-us 20000 --slo-window-us 5000 \
+    --tenants 'victim:model=RM1,qps=10,batch=4,slo=50ms,res=10,weight=1,queries=20;rw:model=RM1,qps=40,batch=4,slo=500ms,weight=1,limit=60,update_rate=500,queries=30'
 # The whole tail-tolerance machinery at once: injector RNG, hedge
 # timers racing completions, a mid-run dropout failing over, deadline
 # delivery — all of it must still be a pure function of the config.

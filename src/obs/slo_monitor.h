@@ -10,10 +10,11 @@
  * the error-budget burn rate — the SRE convention
  * (1 - attainment) / (1 - objective), so burn 1.0 means "spending
  * budget exactly as provisioned", burn 10 means "budget gone in a
- * tenth of the period". `runServe` feeds it when
- * `ServeConfig::slo.enabled` is set and surfaces the series in
- * `ServeStats` plus the stat registry (so stats JSON and the metric
- * sampler can export it); default runs never construct one.
+ * tenth of the period". A `ServeStream` feeds it when
+ * `ServeConfig::slo.enabled` is set and surfaces the series in its
+ * `StreamStats`; `runServe` also registers it in the stat registry
+ * (so stats JSON and the metric sampler can export it). Default runs
+ * never construct one.
  */
 
 #ifndef RECSSD_OBS_SLO_MONITOR_H

@@ -5,10 +5,7 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/load/latency_recorder.h"
-#include "src/load/load_gen.h"
 #include "src/obs/metrics.h"
-#include "src/obs/slo_monitor.h"
 #include "src/reco/model_config.h"
 #include "src/reco/update_flusher.h"
 
@@ -38,7 +35,6 @@ runServeTenants(System &sys, const RunnerOptions &options,
                 const TenantServeConfig &config)
 {
     recssd_assert(!config.tenants.empty(), "tenant serve: no tenants");
-    EventQueue &eq = sys.eq();
     const unsigned nt = static_cast<unsigned>(config.tenants.size());
 
     // One runner (and one batch scheduler) per distinct model. Shared
@@ -82,7 +78,7 @@ runServeTenants(System &sys, const RunnerOptions &options,
     for (const TenantSpec &spec : config.tenants.tenants)
         qosTenants.push_back(QosTenant{spec.name, spec.share});
     auto qos = std::make_shared<QosScheduler>(
-        eq, std::move(qosTenants), config.qos,
+        sys.eq(), std::move(qosTenants), config.qos,
         [runners, schedulers, tenantRunner](
             unsigned tenant, const QueryShape &shape,
             QosScheduler::QueryDone done, std::uint64_t traceId,
@@ -91,102 +87,31 @@ runServeTenants(System &sys, const RunnerOptions &options,
                 shape, std::move(done), traceId, rootSpan);
         });
 
-    // Per-tenant measurement state. Shared ownership: completion
-    // callbacks and registry getters may outlive this frame.
-    struct Measure
-    {
-        LatencyRecorder latency;
-        LatencyRecorder queueing;
-        LatencyRecorder service;
-        unsigned completed = 0;
-        unsigned degraded = 0;
-        Tick lastDone = 0;
-        Tick measureStart = 0;
-        std::shared_ptr<SloMonitor> mon;
-        std::shared_ptr<UpdateFlusher> updates;
-    };
-    auto measures =
-        std::make_shared<std::vector<std::shared_ptr<Measure>>>();
-    for (unsigned t = 0; t < nt; ++t)
-        measures->push_back(std::make_shared<Measure>());
-
-    // Arrival ticks are relative to the start of the run; rebase on
-    // the current clock so callers may warm the system up first.
-    const Tick base = eq.now();
-    unsigned total_queries = 0;
+    // One stream per tenant, in tenant order: each schedules its
+    // arrival series, then its update stream, whose flushes race this
+    // tenant's own reads for its QoS budget (chargeAux advances the
+    // same limit tag), then everyone's NVMe queues and flash dies.
+    std::vector<ServeStream> streams;
+    streams.reserve(nt);
     for (unsigned t = 0; t < nt; ++t) {
         const TenantSpec &spec = config.tenants.tenants[t];
-        Measure &m = *(*measures)[t];
-        const unsigned queries =
-            spec.queries > 0 ? spec.queries : config.defaultQueries;
-        recssd_assert(queries > 0, "tenant '%s' has nothing to measure",
-                      spec.name.c_str());
-        const unsigned total = config.warmupQueries + queries;
-        total_queries += total;
-
-        if (config.slo.enabled) {
-            SloConfig sc = config.slo;
-            sc.target = spec.slo;
-            m.mon = std::make_shared<SloMonitor>(sc);
-        }
-
-        LoadGenerator gen(spec.arrivals, spec.shape,
-                          tenantSeed(config.seed, t, spec.seed));
-        gen.setTenant(t);
-        auto arrivals = std::make_shared<const std::vector<QueryDesc>>(
-            gen.schedule(total));
-        m.measureStart = base + (*arrivals)[config.warmupQueries].arrival;
-
-        // One lazy series per tenant: the heap holds each tenant's next
-        // arrival, not all of them.
-        std::vector<Tick> arrival_ticks;
-        arrival_ticks.reserve(total);
-        for (const QueryDesc &q : *arrivals)
-            arrival_ticks.push_back(base + q.arrival);
-        eq.scheduleSeries(std::move(arrival_ticks), [qos, measures, &config,
-                                                     t, base, arrivals](
-                                                        std::size_t idx) {
-            RECSSD_CAPTURES_MAPPING("qos/measures/arrivals are "
-                                    "shared_ptrs; config is the harness's "
-                                    "stack object and runServeTenants "
-                                    "drains the queue before returning");
-            const auto i = static_cast<unsigned>(idx);
-            const QueryDesc &q = (*arrivals)[i];
-            const Tick arrive = base + q.arrival;
-            qos->submit(t, q.shape, [measures, &config, t, i,
-                                     arrive](const QueryTimes &qt) {
-                Measure &m = *(*measures)[t];
-                ++m.completed;
-                m.lastDone = qt.complete;
-                if (i < config.warmupQueries)
-                    return;
-                // Completion events are completion-time ordered — the
-                // order the windowed monitor requires.
-                if (m.mon)
-                    m.mon->record(qt.complete, qt.complete - arrive);
-                m.latency.record(qt.complete - arrive);
-                m.queueing.record(qt.dispatch - arrive);
-                m.service.record(qt.complete - qt.dispatch);
-                if (qt.degraded)
-                    ++m.degraded;
-            });
-        });
-
-        // Tenant-owned update stream: flushes race this tenant's own
-        // reads for its QoS budget (chargeAux advances the same limit
-        // tag), then everyone's NVMe queues and flash dies.
-        if (spec.updates.enabled()) {
-            UpdateStreamSpec us = spec.updates;
-            us.tenant = t;
-            ModelRunner &runner = *(*runners)[tenantRunner[t]];
-            m.updates = std::make_shared<UpdateFlusher>(
-                sys, runner.ssdTableDescs(), us,
-                tenantSeed(config.seed, t, spec.seed), runner.hostCache());
-            m.updates->setAdmission([qos, t](Tick now) {
-                return qos->chargeAux(t, now);
-            });
-            m.updates->scheduleUntil(arrivals->back().arrival);
-        }
+        ServeConfig sc;
+        sc.arrivals = spec.arrivals;
+        sc.shape = spec.shape;
+        sc.queries = spec.queries > 0 ? spec.queries : config.defaultQueries;
+        sc.warmupQueries = config.warmupQueries;
+        sc.latencySlo = spec.slo;
+        sc.seed = tenantSeed(config.seed, t, spec.seed);
+        sc.slo = config.slo;
+        sc.slo.target = spec.slo;
+        sc.updates = spec.updates;
+        streams.emplace_back(
+            *(*runners)[tenantRunner[t]], sc,
+            [qos, t](const QueryShape &shape,
+                     BatchScheduler::QueryDone done) {
+                qos->submit(t, shape, std::move(done));
+            },
+            t, [qos, t](Tick now) { return qos->chargeAux(t, now); });
     }
 
     // Live per-tenant gauges: registered before the run so the metric
@@ -211,57 +136,30 @@ runServeTenants(System &sys, const RunnerOptions &options,
     sys.run();
 
     TenantServeStats out;
+    Tick first_start = maxTick;
+    Tick last_done = 0;
     for (unsigned t = 0; t < nt; ++t) {
         const TenantSpec &spec = config.tenants.tenants[t];
-        Measure &m = *(*measures)[t];
-        const unsigned queries =
-            spec.queries > 0 ? spec.queries : config.defaultQueries;
-        recssd_assert(m.completed == config.warmupQueries + queries,
-                      "tenant '%s' lost queries: %u of %u completed",
-                      spec.name.c_str(), m.completed,
-                      config.warmupQueries + queries);
-
+        const ServeStream &stream = streams[t];
         TenantServeStats::PerTenant pt;
+        stream.summarize(pt);
         pt.name = spec.name;
         pt.model = spec.model;
-        pt.completedQueries = static_cast<unsigned>(m.latency.count());
-        pt.meanLatencyUs = m.latency.meanUs();
-        pt.maxLatencyUs = m.latency.maxUs();
-        pt.p50Us = m.latency.percentileUs(0.50);
-        pt.p95Us = m.latency.percentileUs(0.95);
-        pt.p99Us = m.latency.percentileUs(0.99);
-        pt.meanQueueUs = m.queueing.meanUs();
-        pt.meanServiceUs = m.service.meanUs();
-        pt.sloAttainment = m.latency.fractionWithin(spec.slo);
-        pt.degradedQueries = m.degraded;
-        Tick span = m.lastDone > m.measureStart
-                        ? m.lastDone - m.measureStart
-                        : 1;
-        pt.achievedQps = static_cast<double>(queries) /
-                         (static_cast<double>(span) / sec);
         pt.qos = qos->counters(t);
-
-        if (m.mon)
-            summarizeSlo(*m.mon, pt);
-        if (m.updates) {
-            pt.updatesSubmitted = m.updates->submitted();
-            pt.updatesApplied = m.updates->applied();
-            pt.updateFlushes = m.updates->flushes();
-            pt.updateAdmissionDeferrals = m.updates->admissionDeferrals();
+        if (const std::shared_ptr<UpdateFlusher> &u = stream.updates()) {
+            pt.updatesSubmitted = u->submitted();
+            pt.updatesApplied = u->applied();
+            pt.updateFlushes = u->flushes();
+            pt.updateAdmissionDeferrals = u->admissionDeferrals();
         }
-
         out.completedQueries += pt.completedQueries;
         out.perTenant.push_back(std::move(pt));
+        first_start = std::min(first_start, stream.measureStart());
+        last_done = std::max(last_done, stream.lastDone());
     }
 
     // Whole-mix throughput: measured queries over the union of the
     // tenants' measurement windows.
-    Tick first_start = maxTick;
-    Tick last_done = 0;
-    for (unsigned t = 0; t < nt; ++t) {
-        first_start = std::min(first_start, (*measures)[t]->measureStart);
-        last_done = std::max(last_done, (*measures)[t]->lastDone);
-    }
     Tick span = last_done > first_start ? last_done - first_start : 1;
     out.achievedQps = static_cast<double>(out.completedQueries) /
                       (static_cast<double>(span) / sec);

@@ -3,16 +3,16 @@
  * The multi-tenant serving harness: N tenants, one machine, measured
  * isolation.
  *
- * `runServeTenants` is the tenant-aware sibling of `runServe`
+ * `runServeTenants` is the multi-tenant front end of the serving core
  * (src/reco/serving.h): it instantiates one `ModelRunner` +
- * `BatchScheduler` per *distinct model* in the tenant mix, gives every
- * tenant its own seeded `LoadGenerator` (seed mixed from the harness
- * seed, the tenant index, and the tenant's own salt, so adding a
- * tenant never perturbs another tenant's arrival sequence), and routes
- * every query through one shared `QosScheduler` before it may reach a
- * batch scheduler. Tenants that enable an update stream get their own
- * `UpdateFlusher` whose flushes are charged against the same QoS limit
- * tag as their reads.
+ * `BatchScheduler` per *distinct model* in the tenant mix, runs one
+ * `ServeStream` per tenant (seed mixed from the harness seed, the
+ * tenant index, and the tenant's own salt, so adding a tenant never
+ * perturbs another tenant's arrival sequence), and routes every query
+ * through one shared `QosScheduler` before it may reach a batch
+ * scheduler. A tenant's update stream is its stream's `UpdateFlusher`,
+ * whose flushes are charged against the same QoS limit tag as the
+ * tenant's reads.
  *
  * Accounting is per-tenant end to end: latency quantiles, queue/service
  * split, SLO attainment against each tenant's own target, windowed
@@ -67,33 +67,14 @@ struct TenantServeConfig
 /** What the multi-tenant harness measured. */
 struct TenantServeStats
 {
-    struct PerTenant
+    /** One tenant's stream; `sloAttainment` and the SLO windows are
+     *  against the tenant's own target. */
+    struct PerTenant : StreamStats
     {
         std::string name;
         std::string model;
-        unsigned completedQueries = 0;
-        double meanLatencyUs = 0.0;
-        double maxLatencyUs = 0.0;
-        double p50Us = 0.0;
-        double p95Us = 0.0;
-        double p99Us = 0.0;
-        /** Total pre-service wait (arrival -> batch dispatch), i.e.
-         *  QoS admission plus batch formation. */
-        double meanQueueUs = 0.0;
-        double meanServiceUs = 0.0;
-        /** Attainment against this tenant's own SLO target. */
-        double sloAttainment = 0.0;
-        double achievedQps = 0.0;
-        unsigned degradedQueries = 0;
 
         QosScheduler::TenantCounters qos;
-
-        /** @{ Windowed SLO series (empty unless `slo.enabled`). */
-        std::vector<ServeStats::SloWindow> sloWindows;
-        double sloMonitorAttainment = 0.0;
-        double errorBudgetBurnRate = 0.0;
-        double worstWindowBurnRate = 0.0;
-        /** @} */
 
         /** @{ Tenant-owned update stream (zero when off). */
         std::uint64_t updatesSubmitted = 0;

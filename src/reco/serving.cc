@@ -6,90 +6,10 @@
 
 #include "src/common/analysis.h"
 #include "src/common/logging.h"
-#include "src/common/random.h"
 #include "src/obs/metrics.h"
-#include "src/reco/update_flusher.h"
 
 namespace recssd
 {
-
-ServingStats
-runOpenLoop(ModelRunner &runner, const ServingConfig &config)
-{
-    recssd_assert(config.qps > 0.0, "arrival rate must be positive");
-    System &sys = runner.sys();
-    EventQueue &eq = sys.eq();
-
-    struct Harness
-    {
-        Rng rng;
-        std::vector<double> samples;
-        SampleStat stat;
-        unsigned issued = 0;
-        unsigned completed = 0;
-        unsigned sloMet = 0;
-        Tick measureStart = 0;
-        Tick lastDone = 0;
-
-        explicit Harness(std::uint64_t seed) : rng(seed) {}
-    };
-    auto h = std::make_shared<Harness>(config.seed);
-    const unsigned total = config.warmupQueries + config.queries;
-    const double mean_gap_ns =
-        static_cast<double>(sec) / config.qps;
-
-    // Arrival process: each arrival schedules the next with an
-    // exponential gap (Poisson process). The recursive closure lives
-    // in a shared holder so later firings outlive this frame.
-    auto stable = std::make_shared<std::function<void()>>();
-    *stable = [&runner, &eq, h, total, mean_gap_ns, config, stable]() {
-        unsigned idx = h->issued++;
-        if (idx == config.warmupQueries)
-            h->measureStart = eq.now();
-        runner.launchBatch(config.batchSize,
-                           [h, idx, config, &eq](Tick latency) {
-                               ++h->completed;
-                               h->lastDone = eq.now();
-                               if (idx >= config.warmupQueries) {
-                                   h->samples.push_back(
-                                       ticksToUs(latency));
-                                   h->stat.record(ticksToUs(latency));
-                                   if (latency <= config.latencySlo)
-                                       ++h->sloMet;
-                               }
-                           });
-        if (h->issued < total) {
-            Tick gap = static_cast<Tick>(
-                h->rng.exponential(mean_gap_ns));
-            eq.scheduleAfter(gap, *stable);
-        }
-    };
-    (*stable)();
-    sys.run();
-    recssd_assert(h->completed == total, "open loop lost queries");
-
-    ServingStats out;
-    out.meanLatencyUs = h->stat.mean();
-    out.maxLatencyUs = h->stat.max();
-    std::sort(h->samples.begin(), h->samples.end());
-    auto pct = [&](double q) {
-        if (h->samples.empty())
-            return 0.0;
-        auto idx = static_cast<std::size_t>(q * (h->samples.size() - 1));
-        return h->samples[idx];
-    };
-    out.p50Us = pct(0.50);
-    out.p95Us = pct(0.95);
-    out.p99Us = pct(0.99);
-    out.sloAttainment =
-        static_cast<double>(h->sloMet) / config.queries;
-    Tick span = h->lastDone > h->measureStart
-                    ? h->lastDone - h->measureStart
-                    : 1;
-    out.achievedQps = static_cast<double>(config.queries) /
-                      (static_cast<double>(span) / sec);
-    return out;
-}
 
 BatchScheduler::BatchScheduler(ModelRunner &runner,
                                const BatchPolicy &policy)
@@ -240,40 +160,124 @@ BatchScheduler::dispatchOne()
     });
 }
 
+ServeStream::ServeStream(ModelRunner &runner, const ServeConfig &config,
+                         Submit submit, std::uint32_t tenant,
+                         UpdateFlusher::AdmissionHook admission)
+    : m_(std::make_shared<Measure>()), queries_(config.queries),
+      warmupQueries_(config.warmupQueries), latencySlo_(config.latencySlo)
+{
+    recssd_assert(config.queries > 0, "nothing to measure");
+    EventQueue &eq = runner.sys().eq();
+    const unsigned total = config.warmupQueries + config.queries;
+
+    LoadGenerator gen(config.arrivals, config.shape, config.seed);
+    gen.setTenant(tenant);
+    auto arrivals = std::make_shared<const std::vector<QueryDesc>>(
+        gen.schedule(total));
+
+    // Shared ownership: the stat registry getters the harnesses
+    // register may outlive the stream.
+    if (config.slo.enabled)
+        m_->mon = std::make_shared<SloMonitor>(config.slo);
+    if (config.updates.enabled()) {
+        UpdateStreamSpec us = config.updates;
+        us.tenant = tenant;
+        updates_ = std::make_shared<UpdateFlusher>(
+            runner.sys(), runner.ssdTableDescs(), us, config.seed,
+            runner.hostCache());
+        updates_->setAdmission(std::move(admission));
+    }
+
+    // Arrival ticks are relative to the start of the run; rebase on
+    // the current clock so callers may warm the system up (prefill,
+    // profiling) before serving. The arrivals are one lazy series: the
+    // heap holds only the next one.
+    const Tick base = eq.now();
+    measureStart_ = base + (*arrivals)[config.warmupQueries].arrival;
+    std::vector<Tick> arrival_ticks;
+    arrival_ticks.reserve(total);
+    for (const QueryDesc &q : *arrivals)
+        arrival_ticks.push_back(base + q.arrival);
+    const unsigned warmup = config.warmupQueries;
+    eq.scheduleSeries(
+        std::move(arrival_ticks),
+        [submit = std::move(submit), arrivals, base, warmup,
+         m = m_](std::size_t idx) {
+            const auto i = static_cast<unsigned>(idx);
+            const QueryDesc &q = (*arrivals)[i];
+            const Tick arrive = base + q.arrival;
+            submit(q.shape, [m, i, warmup, arrive](const QueryTimes &t) {
+                ++m->completed;
+                m->lastDone = t.complete;
+                if (i < warmup)
+                    return;
+                // Event processing is completion-time ordered, which
+                // is exactly the order the monitor requires.
+                if (m->mon)
+                    m->mon->record(t.complete, t.complete - arrive);
+                m->latency.record(t.complete - arrive);
+                m->queueing.record(t.dispatch - arrive);
+                m->service.record(t.complete - t.dispatch);
+                if (t.degraded)
+                    ++m->degraded;
+            });
+        });
+    // Mixed read-write serving: the update stream spans the query
+    // arrival horizon, so write traffic races reads for NVMe queues,
+    // firmware CPU, flash dies — and feeds GC.
+    if (updates_)
+        updates_->scheduleUntil(arrivals->back().arrival);
+}
+
+void
+ServeStream::summarize(StreamStats &out) const
+{
+    const Measure &m = *m_;
+    recssd_assert(m.completed == warmupQueries_ + queries_,
+                  "serving path lost queries: %u of %u completed",
+                  m.completed, warmupQueries_ + queries_);
+    out.completedQueries = static_cast<unsigned>(m.latency.count());
+    out.meanLatencyUs = m.latency.meanUs();
+    out.maxLatencyUs = m.latency.maxUs();
+    out.p50Us = m.latency.percentileUs(0.50);
+    out.p95Us = m.latency.percentileUs(0.95);
+    out.p99Us = m.latency.percentileUs(0.99);
+    out.p999Us = m.latency.percentileUs(0.999);
+    out.meanQueueUs = m.queueing.meanUs();
+    out.meanServiceUs = m.service.meanUs();
+    out.sloAttainment = m.latency.fractionWithin(latencySlo_);
+    out.degradedQueries = m.degraded;
+    Tick span = m.lastDone > measureStart_ ? m.lastDone - measureStart_ : 1;
+    out.achievedQps = static_cast<double>(queries_) /
+                      (static_cast<double>(span) / sec);
+
+    if (!m.mon)
+        return;
+    SloMonitor &mon = *m.mon;
+    mon.finish();
+    for (const SloMonitor::Window &w : mon.windows()) {
+        StreamStats::SloWindow sw;
+        sw.startUs = ticksToUs(w.start);
+        sw.queries = w.queries;
+        sw.attainment = w.attainment();
+        sw.p50Us = w.p50Us;
+        sw.p99Us = w.p99Us;
+        sw.burnRate = mon.burnRate(w.attainment());
+        out.sloWindows.push_back(sw);
+    }
+    out.sloMonitorAttainment = mon.overallAttainment();
+    out.errorBudgetBurnRate = mon.overallBurnRate();
+    out.worstWindowBurnRate = mon.worstWindowBurnRate();
+}
+
 ServeStats
 runServe(ModelRunner &runner, const ServeConfig &config)
 {
     System &sys = runner.sys();
-    EventQueue &eq = sys.eq();
-    const unsigned total = config.warmupQueries + config.queries;
-    recssd_assert(config.queries > 0, "nothing to measure");
-
     BatchScheduler scheduler(runner, config.batching);
-    LoadGenerator gen(config.arrivals, config.shape, config.seed);
-    auto arrivals = gen.schedule(total);
 
-    struct Measure
-    {
-        LatencyRecorder latency;
-        LatencyRecorder queueing;
-        LatencyRecorder service;
-        unsigned completed = 0;
-        unsigned sloMet = 0;
-        unsigned degraded = 0;
-        Tick lastDone = 0;
-    };
-    auto m = std::make_shared<Measure>();
-
-    // Windowed SLO monitor (opt-in). Shared ownership: the stat
-    // registry getters below may outlive this frame.
-    std::shared_ptr<SloMonitor> mon;
-    if (config.slo.enabled)
-        mon = std::make_shared<SloMonitor>(config.slo);
-
-    // Online-update stream (opt-in). Shared ownership: the registry
-    // getters below may outlive this frame. Write-path device counters
-    // snapshot before and after so WA is a whole-run delta.
-    std::shared_ptr<UpdateFlusher> updates;
+    // Write-path device counters snapshot before and after the run so
+    // WA is a whole-run delta.
     struct WriteSnap
     {
         std::uint64_t hostWrites = 0;
@@ -296,13 +300,7 @@ runServe(ModelRunner &runner, const ServeConfig &config)
         }
         return s;
     };
-    WriteSnap writes_before;
-    if (config.updates.enabled()) {
-        updates = std::make_shared<UpdateFlusher>(
-            sys, runner.ssdTableDescs(), config.updates, config.seed,
-            runner.hostCache());
-        writes_before = snapWrites();
-    }
+    const WriteSnap writes_before = snapWrites();
 
     // Host-vs-SSD split accounting over the whole run: lookups the
     // host LRU cache / static partition absorb never reach the SSD.
@@ -322,75 +320,19 @@ runServe(ModelRunner &runner, const ServeConfig &config)
     };
     splitCounters(host_before, total_before);
 
-    // Arrival ticks are relative to the start of the run; rebase on
-    // the current clock so callers may warm the system up (prefill,
-    // profiling) before serving. Zero-base runs are unchanged. The
-    // arrivals are one lazy series: the heap holds only the next one.
-    const Tick base = eq.now();
-    std::vector<Tick> arrival_ticks;
-    arrival_ticks.reserve(total);
-    for (const QueryDesc &q : arrivals)
-        arrival_ticks.push_back(base + q.arrival);
-    eq.scheduleSeries(
-        std::move(arrival_ticks),
-        [&scheduler, &config, &arrivals, m, mon](std::size_t idx) {
-            RECSSD_CAPTURES_MAPPING("scheduler/config/arrivals are the "
-                                    "serve harness's stack objects; "
-                                    "runServe drains the queue before "
-                                    "returning");
-            const auto i = static_cast<unsigned>(idx);
-            scheduler.submit(arrivals[i].shape, [&config, m, mon,
-                                                 i](const QueryTimes &t) {
-                ++m->completed;
-                m->lastDone = t.complete;
-                if (i < config.warmupQueries)
-                    return;
-                // Event processing is completion-time ordered, which
-                // is exactly the order the monitor requires.
-                if (mon)
-                    mon->record(t.complete, t.complete - t.arrival);
-                m->latency.record(t.complete - t.arrival);
-                m->queueing.record(t.dispatch - t.arrival);
-                m->service.record(t.complete - t.dispatch);
-                if (t.degraded)
-                    ++m->degraded;
-                if (t.complete - t.arrival <= config.latencySlo)
-                    ++m->sloMet;
-            });
+    ServeStream stream(
+        runner, config,
+        [&scheduler](const QueryShape &shape,
+                     BatchScheduler::QueryDone done) {
+            RECSSD_CAPTURES_MAPPING("scheduler is the serve harness's "
+                                    "stack object; runServe drains the "
+                                    "queue before returning");
+            scheduler.submit(shape, std::move(done));
         });
-    // Mixed read-write serving: the update stream spans the query
-    // arrival horizon, so write traffic races reads for NVMe queues,
-    // firmware CPU, flash dies — and feeds GC.
-    if (updates)
-        updates->scheduleUntil(arrivals.back().arrival);
-
-    // The measurement window opens when the first measured query
-    // arrives (its arrival tick is known up front).
-    Tick measure_start =
-        config.warmupQueries < total
-            ? base + arrivals[config.warmupQueries].arrival
-            : base;
     sys.run();
-    recssd_assert(m->completed == total,
-                  "serving path lost queries: %u of %u completed",
-                  m->completed, total);
 
     ServeStats out;
-    out.meanLatencyUs = m->latency.meanUs();
-    out.maxLatencyUs = m->latency.maxUs();
-    out.p50Us = m->latency.percentileUs(0.50);
-    out.p95Us = m->latency.percentileUs(0.95);
-    out.p99Us = m->latency.percentileUs(0.99);
-    out.p999Us = m->latency.percentileUs(0.999);
-    out.degradedQueries = m->degraded;
-    out.meanQueueUs = m->queueing.meanUs();
-    out.meanServiceUs = m->service.meanUs();
-    out.sloAttainment = m->latency.fractionWithin(config.latencySlo);
-    out.completedQueries = static_cast<unsigned>(m->latency.count());
-    Tick span = m->lastDone > measure_start ? m->lastDone - measure_start
-                                            : 1;
-    out.achievedQps = static_cast<double>(config.queries) /
-                      (static_cast<double>(span) / sec);
+    stream.summarize(out);
     out.batchesDispatched = scheduler.batchesDispatched();
     out.avgCoalescedSamples = scheduler.avgCoalescedSamples();
     out.maxSchedulerDepth = scheduler.maxQueueDepth();
@@ -443,9 +385,7 @@ runServe(ModelRunner &runner, const ServeConfig &config)
         out.failovers = sharded->failovers();
         out.ejectedDevices = sharded->unhealthyDevices();
     }
-    if (mon) {
-        summarizeSlo(*mon, out);
-
+    if (std::shared_ptr<SloMonitor> mon = stream.monitor()) {
         // Surface the monitor in the stat registry so stats JSON and
         // the metric sampler pick it up; the getters share ownership
         // of the (now finished) monitor. Default runs never reach
@@ -464,7 +404,7 @@ runServe(ModelRunner &runner, const ServeConfig &config)
             return mon->worstWindowBurnRate();
         });
     }
-    if (updates) {
+    if (const std::shared_ptr<UpdateFlusher> &updates = stream.updates()) {
         WriteSnap after = snapWrites();
         ServeStats::UpdateStats &u = out.update;
         u.submitted = updates->submitted();

@@ -4,21 +4,25 @@
  *
  * The paper's single-model/single-SSD prototype restricted it to
  * direct request latencies (§5); this subsystem explores the metric
- * datacenter operators actually provision for. Two harnesses:
+ * datacenter operators actually provision for. One stream core, two
+ * front ends:
  *
- *  - `runOpenLoop`: the original one-query-per-dispatch Poisson
- *    harness (kept for the fig-level benches).
- *  - `runServe`: the at-scale path. A `LoadGenerator` (src/load)
- *    produces arrivals and per-query shapes; a `BatchScheduler`
- *    coalesces in-flight queries into fused batches (size cap +
- *    batching timeout + in-flight cap, DeepRecSys-style); the model
- *    runner splits each fused batch between host-DRAM structures
- *    (LRU cache / static partition) and the SSD backend, whose I/O
- *    fans out round-robin across the driver's NVMe queue pairs.
- *    Per-query timestamps (arrival / dispatch / completion) flow
- *    through the event-driven sim, so the harness reports exact
- *    p50/p95/p99 tails, queueing-vs-service breakdown, sustained QPS
- *    and the per-queue NVMe command spread.
+ *  - `ServeStream`: one open-loop query stream. A seeded
+ *    `LoadGenerator` (src/load) produces arrivals and per-query
+ *    shapes; completions are recorded per query (arrival / dispatch /
+ *    completion), so the stream reports exact p50/p95/p99 tails, the
+ *    queueing-vs-service split, sustained QPS and, when enabled, a
+ *    windowed SLO series and an online-update stream.
+ *  - `runServe`: one stream into a `BatchScheduler`, which coalesces
+ *    in-flight queries into fused batches (size cap + batching
+ *    timeout + in-flight cap, DeepRecSys-style); the model runner
+ *    splits each fused batch between host-DRAM structures (LRU cache
+ *    / static partition) and the SSD backend, whose I/O fans out
+ *    round-robin across the driver's NVMe queue pairs. A policy of
+ *    `maxBatchSamples` = the query size, `maxWait` 0 and an unbounded
+ *    in-flight cap is one-query-per-dispatch serving.
+ *  - `runServeTenants` (src/qos/tenant_serve.h): one stream per
+ *    tenant into a shared QoS admission scheduler.
  */
 
 #ifndef RECSSD_RECO_SERVING_H
@@ -30,51 +34,16 @@
 #include <memory>
 #include <vector>
 
-#include "src/common/stats.h"
 #include "src/load/latency_recorder.h"
 #include "src/load/load_gen.h"
 #include "src/load/update_stream.h"
 #include "src/obs/slo_monitor.h"
 #include "src/obs/tracer.h"
 #include "src/reco/model_runner.h"
+#include "src/reco/update_flusher.h"
 
 namespace recssd
 {
-
-struct ServingConfig
-{
-    /** Mean arrival rate (queries per simulated second). */
-    double qps = 100.0;
-    /** Queries to issue after warmup. */
-    unsigned queries = 200;
-    /** Warmup queries (not measured). */
-    unsigned warmupQueries = 20;
-    /** Samples per query. */
-    unsigned batchSize = 16;
-    /** Latency target for SLO accounting. */
-    Tick latencySlo = 50 * msec;
-    std::uint64_t seed = 99;
-};
-
-struct ServingStats
-{
-    double meanLatencyUs = 0.0;
-    double maxLatencyUs = 0.0;
-    double p50Us = 0.0;
-    double p95Us = 0.0;
-    double p99Us = 0.0;
-    /** Fraction of measured queries within the SLO. */
-    double sloAttainment = 0.0;
-    /** Completed queries / simulated wall time. */
-    double achievedQps = 0.0;
-};
-
-/**
- * Drive one model runner open loop and measure. Arrivals and
- * completions interleave on the runner's System; the call returns
- * when every query has completed.
- */
-ServingStats runOpenLoop(ModelRunner &runner, const ServingConfig &config);
 
 /** Per-query timeline the scheduler reports to its caller. */
 struct QueryTimes
@@ -186,7 +155,11 @@ class BatchScheduler
     Tick timerDue_ = 0;
 };
 
-/** Configuration of the batched at-scale serving harness. */
+/**
+ * Configuration of the batched serving harness. Everything but
+ * `batching` also configures one `ServeStream`, which is how
+ * `runServeTenants` describes each tenant's stream.
+ */
 struct ServeConfig
 {
     ArrivalSpec arrivals;
@@ -195,7 +168,9 @@ struct ServeConfig
     /** Measured queries after warmup. */
     unsigned queries = 200;
     unsigned warmupQueries = 20;
+    /** Latency target of `StreamStats::sloAttainment`. */
     Tick latencySlo = 50 * msec;
+    /** Seeds the arrival/shape draws and the update stream. */
     std::uint64_t seed = 99;
     /** Windowed SLO monitoring (attainment + error-budget burn);
      *  disabled by default so existing harnesses are untouched. */
@@ -206,9 +181,11 @@ struct ServeConfig
     UpdateStreamSpec updates;
 };
 
-/** What the batched harness measured. */
-struct ServeStats
+/** What one query stream measured: a plain serve, or one tenant. */
+struct StreamStats
 {
+    /** Measured queries (warmup excluded). */
+    unsigned completedQueries = 0;
     /** End-to-end query latency (arrival -> completion), measured set. */
     double meanLatencyUs = 0.0;
     double maxLatencyUs = 0.0;
@@ -216,14 +193,42 @@ struct ServeStats
     double p95Us = 0.0;
     double p99Us = 0.0;
     double p999Us = 0.0;
-    /** Scheduler-queue delay (arrival -> dispatch). */
+    /** Pre-service wait (arrival -> fused-batch dispatch); for a
+     *  tenant this is QoS admission plus batch formation. */
     double meanQueueUs = 0.0;
     /** Fused-batch service time (dispatch -> completion). */
     double meanServiceUs = 0.0;
+    /** Fraction of measured queries within the stream's latency
+     *  target (`ServeConfig::latencySlo`, a tenant's own `slo`). */
     double sloAttainment = 0.0;
+    /** Measured queries over first measured arrival -> last
+     *  completion. */
     double achievedQps = 0.0;
+    /** Measured queries whose fused batch was answered degraded. */
+    unsigned degradedQueries = 0;
 
-    unsigned completedQueries = 0;
+    /** @{ SLO monitor output; empty/zero unless the stream's `slo` is
+     *  enabled. Windows tumble over completion time. */
+    struct SloWindow
+    {
+        double startUs = 0.0;
+        unsigned queries = 0;
+        double attainment = 0.0;
+        double p50Us = 0.0;
+        double p99Us = 0.0;
+        /** (1 - attainment) / (1 - objective). */
+        double burnRate = 0.0;
+    };
+    std::vector<SloWindow> sloWindows;
+    double sloMonitorAttainment = 0.0;
+    double errorBudgetBurnRate = 0.0;
+    double worstWindowBurnRate = 0.0;
+    /** @} */
+};
+
+/** What the batched harness measured. */
+struct ServeStats : StreamStats
+{
     std::uint64_t batchesDispatched = 0;
     double avgCoalescedSamples = 0.0;
     unsigned maxSchedulerDepth = 0;
@@ -261,31 +266,12 @@ struct ServeStats
 
     /** @{ Tail-tolerance accounting; all zero unless the run used
      *  deadlines, hedging or replication, or a device died. */
-    unsigned degradedQueries = 0;
     std::uint64_t hedgesFired = 0;
     std::uint64_t hedgeWins = 0;
     std::uint64_t duplicateCompletions = 0;
     std::uint64_t deadlineMisses = 0;
     std::uint64_t failovers = 0;
     std::vector<unsigned> ejectedDevices;
-    /** @} */
-
-    /** @{ SLO monitor output; empty/zero unless `ServeConfig::slo`
-     *  is enabled. Windows tumble over completion time. */
-    struct SloWindow
-    {
-        double startUs = 0.0;
-        unsigned queries = 0;
-        double attainment = 0.0;
-        double p50Us = 0.0;
-        double p99Us = 0.0;
-        /** (1 - attainment) / (1 - objective). */
-        double burnRate = 0.0;
-    };
-    std::vector<SloWindow> sloWindows;
-    double sloMonitorAttainment = 0.0;
-    double errorBudgetBurnRate = 0.0;
-    double worstWindowBurnRate = 0.0;
     /** @} */
 
     /** @{ Online-update stream + write-path accounting; all zero
@@ -317,36 +303,76 @@ struct ServeStats
 };
 
 /**
- * Finish `mon` and copy its windows and overall attainment / burn
- * rates into the SLO fields of `out` (a `ServeStats` or a tenant's
- * per-tenant stats, which share the field names).
+ * One open-loop query stream, the core of both batched harnesses.
+ * Constructing it schedules the stream on the runner's event queue:
+ * `warmupQueries + queries` arrivals drawn from a `LoadGenerator`
+ * seeded with `config.seed`, as one lazy series (rebased on the
+ * current clock) that hands each query to `submit`; then, when
+ * `config.updates` is on, an `UpdateFlusher` stream over the same
+ * horizon. Completions of measured queries feed the latency,
+ * queueing and service recorders and the optional `SloMonitor`.
+ *
+ * `runServe` binds `submit` to `BatchScheduler::submit`;
+ * `runServeTenants` builds one stream per tenant, in tenant order,
+ * bound to `QosScheduler::submit(tenant, ...)`.
  */
-template <typename Stats>
-void
-summarizeSlo(SloMonitor &mon, Stats &out)
+class ServeStream
 {
-    mon.finish();
-    for (const SloMonitor::Window &w : mon.windows()) {
-        ServeStats::SloWindow sw;
-        sw.startUs = ticksToUs(w.start);
-        sw.queries = w.queries;
-        sw.attainment = w.attainment();
-        sw.p50Us = w.p50Us;
-        sw.p99Us = w.p99Us;
-        sw.burnRate = mon.burnRate(w.attainment());
-        out.sloWindows.push_back(sw);
+  public:
+    using Submit =
+        std::function<void(const QueryShape &, BatchScheduler::QueryDone)>;
+
+    /**
+     * @param tenant Stamped on every query shape and row update (0 for
+     *        a single-tenant serve).
+     * @param admission The update flusher's QoS admission hook (unset:
+     *        every flush dispatches immediately).
+     */
+    ServeStream(ModelRunner &runner, const ServeConfig &config,
+                Submit submit, std::uint32_t tenant = 0,
+                UpdateFlusher::AdmissionHook admission = {});
+
+    /** Fill the summary once the run has drained; asserts that every
+     *  query completed. */
+    void summarize(StreamStats &out) const;
+
+    /** First measured arrival (the measurement window's start). */
+    Tick measureStart() const { return measureStart_; }
+    Tick lastDone() const { return m_->lastDone; }
+    /** Null unless `config.slo` is enabled. */
+    const std::shared_ptr<SloMonitor> &monitor() const { return m_->mon; }
+    /** Null unless `config.updates` is enabled. */
+    const std::shared_ptr<UpdateFlusher> &updates() const
+    {
+        return updates_;
     }
-    out.sloMonitorAttainment = mon.overallAttainment();
-    out.errorBudgetBurnRate = mon.overallBurnRate();
-    out.worstWindowBurnRate = mon.worstWindowBurnRate();
-}
+
+  private:
+    /** Completion accounting; shared with the completion callbacks. */
+    struct Measure
+    {
+        LatencyRecorder latency;
+        LatencyRecorder queueing;
+        LatencyRecorder service;
+        unsigned completed = 0;
+        unsigned degraded = 0;
+        Tick lastDone = 0;
+        std::shared_ptr<SloMonitor> mon;
+    };
+
+    std::shared_ptr<Measure> m_;
+    std::shared_ptr<UpdateFlusher> updates_;
+    unsigned queries_;
+    unsigned warmupQueries_;
+    Tick latencySlo_;
+    Tick measureStart_ = 0;
+};
 
 /**
- * Drive the runner through the batched multi-queue serving path:
- * generate `warmupQueries + queries` arrivals open loop, coalesce
- * them through a `BatchScheduler`, and measure. Returns when every
- * query has completed; every submitted query completes (overload
- * manifests as latency, never as drops).
+ * Drive the runner through the batched multi-queue serving path: one
+ * `ServeStream` coalesced through a `BatchScheduler`. Returns when
+ * every query has completed; every submitted query completes
+ * (overload manifests as latency, never as drops).
  */
 ServeStats runServe(ModelRunner &runner, const ServeConfig &config);
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Open-loop serving harness tests.
+ * Open-loop serving tests: `runServe` with a one-query-per-dispatch
+ * batch policy.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +27,23 @@ tinyModel()
     return m;
 }
 
+/** Poisson arrivals of `batch`-sample queries, one query per fused
+ *  batch: no coalescing and no in-flight cap. */
+ServeConfig
+openLoop(double qps, unsigned queries, unsigned warmup, unsigned batch)
+{
+    ServeConfig cfg;
+    cfg.arrivals.qps = qps;
+    cfg.shape.minBatch = batch;
+    cfg.shape.maxBatch = batch;
+    cfg.batching.maxBatchSamples = batch;
+    cfg.batching.maxWait = 0;
+    cfg.batching.maxInFlight = ~0u;
+    cfg.queries = queries;
+    cfg.warmupQueries = warmup;
+    return cfg;
+}
+
 TEST(Serving, CompletesAllQueriesAndReportsStats)
 {
     System sys(test::smallSystem());
@@ -34,12 +52,7 @@ TEST(Serving, CompletesAllQueriesAndReportsStats)
     opt.forceAllTablesOnSsd = true;
     ModelRunner runner(sys, tinyModel(), opt);
 
-    ServingConfig cfg;
-    cfg.qps = 200.0;
-    cfg.queries = 40;
-    cfg.warmupQueries = 5;
-    cfg.batchSize = 4;
-    auto stats = runOpenLoop(runner, cfg);
+    ServeStats stats = runServe(runner, openLoop(200.0, 40, 5, 4));
 
     EXPECT_GT(stats.meanLatencyUs, 0.0);
     EXPECT_GE(stats.maxLatencyUs, stats.meanLatencyUs);
@@ -59,12 +72,8 @@ TEST(Serving, OverloadInflatesLatency)
         opt.backend = EmbeddingBackendKind::BaselineSsd;
         opt.forceAllTablesOnSsd = true;
         ModelRunner runner(sys, tinyModel(), opt);
-        ServingConfig cfg;
-        cfg.qps = rates[i];
-        cfg.queries = 30;
-        cfg.warmupQueries = 3;
-        cfg.batchSize = 4;
-        mean[i] = runOpenLoop(runner, cfg).meanLatencyUs;
+        mean[i] =
+            runServe(runner, openLoop(rates[i], 30, 3, 4)).meanLatencyUs;
     }
     EXPECT_GT(mean[1], mean[0] * 1.5)
         << "queueing delay must appear beyond the service rate";
@@ -76,19 +85,15 @@ TEST(Serving, SloAccountingConsistent)
     RunnerOptions opt;
     opt.backend = EmbeddingBackendKind::Dram;
     ModelRunner runner(sys, tinyModel(), opt);
-    ServingConfig cfg;
-    cfg.qps = 100.0;
-    cfg.queries = 20;
-    cfg.warmupQueries = 2;
-    cfg.batchSize = 4;
+    ServeConfig cfg = openLoop(100.0, 20, 2, 4);
     cfg.latencySlo = 1 * sec;  // generous: everything meets it
-    auto stats = runOpenLoop(runner, cfg);
+    auto stats = runServe(runner, cfg);
     EXPECT_DOUBLE_EQ(stats.sloAttainment, 1.0);
 
     System sys2(test::smallSystem());
     ModelRunner runner2(sys2, tinyModel(), opt);
-    cfg.latencySlo = 1;  // impossible: 1ns
-    auto stats2 = runOpenLoop(runner2, cfg);
+    cfg.latencySlo = 1 * nsec;  // impossible
+    auto stats2 = runServe(runner2, cfg);
     EXPECT_DOUBLE_EQ(stats2.sloAttainment, 0.0);
 }
 
@@ -101,15 +106,27 @@ TEST(Serving, DeterministicForSeed)
         opt.backend = EmbeddingBackendKind::BaselineSsd;
         opt.forceAllTablesOnSsd = true;
         ModelRunner runner(sys, tinyModel(), opt);
-        ServingConfig cfg;
-        cfg.qps = 150.0;
-        cfg.queries = 25;
-        cfg.warmupQueries = 2;
-        cfg.batchSize = 4;
+        ServeConfig cfg = openLoop(150.0, 25, 2, 4);
         cfg.seed = 1234;
-        means[i] = runOpenLoop(runner, cfg).meanLatencyUs;
+        means[i] = runServe(runner, cfg).meanLatencyUs;
     }
     EXPECT_DOUBLE_EQ(means[0], means[1]);
+}
+
+TEST(Serving, OneQueryPerDispatch)
+{
+    // Overloaded, so queries overlap: the policy must still launch
+    // every query (warmup included) as its own fused batch.
+    System sys(test::smallSystem());
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::BaselineSsd;
+    opt.forceAllTablesOnSsd = true;
+    ModelRunner runner(sys, tinyModel(), opt);
+    ServeStats stats = runServe(runner, openLoop(2000.0, 30, 3, 4));
+    EXPECT_EQ(stats.batchesDispatched, 33u);
+    EXPECT_DOUBLE_EQ(stats.avgCoalescedSamples, 4.0);
+    EXPECT_EQ(stats.completedQueries, 30u);
+    EXPECT_EQ(stats.maxSchedulerDepth, 1u);
 }
 
 }  // namespace

@@ -106,7 +106,9 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
+#include <cfloat>
 #include <climits>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -175,6 +177,23 @@ countValue(const char *text, std::uint64_t max, const char *argv0)
     char *end = nullptr;
     unsigned long long v = std::strtoull(text, &end, 10);
     if (*end != '\0' || errno == ERANGE || v > max)
+        usage(argv0);
+    return v;
+}
+
+/**
+ * Value of a real-valued flag: a fully consumed, finite number in
+ * [min, max]. Trailing text, NaN, infinity or an out-of-range value
+ * is a usage error (exit 2).
+ */
+double
+realValue(const char *text, double min, double max, const char *argv0)
+{
+    errno = 0;
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || errno == ERANGE ||
+        !std::isfinite(v) || v < min || v > max)
         usage(argv0);
     return v;
 }
@@ -265,7 +284,7 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--trace")) {
             trace = need_value(i);
         } else if (!std::strcmp(arg, "--k")) {
-            k = std::atof(need_value(i));
+            k = realValue(need_value(i), 0.0, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--batch")) {
             batch = need_count(i);
         } else if (!std::strcmp(arg, "--batches")) {
@@ -293,17 +312,18 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--hot-tier-pages")) {
             hot_tier_pages = need_count(i);
         } else if (!std::strcmp(arg, "--seed")) {
-            seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+            seed = countValue(need_value(i), UINT64_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--stats")) {
             dump_stats = true;
         } else if (!std::strcmp(arg, "--serve")) {
             serve = true;
         } else if (!std::strcmp(arg, "--qps")) {
-            qps = std::atof(need_value(i));
+            // Bounded below so arrival gaps stay far inside a Tick.
+            qps = realValue(need_value(i), 1e-6, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--arrival")) {
             arrival = need_value(i);
         } else if (!std::strcmp(arg, "--burst")) {
-            burst = std::atof(need_value(i));
+            burst = realValue(need_value(i), 1.0, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--queries")) {
             queries = need_count(i);
         } else if (!std::strcmp(arg, "--max-batch")) {
@@ -325,15 +345,15 @@ main(int argc, char **argv)
         } else if (!std::strcmp(arg, "--slo-target-us")) {
             slo_target_us = need_count(i);
         } else if (!std::strcmp(arg, "--slo-goal")) {
-            slo_goal = std::atof(need_value(i));
+            slo_goal = realValue(need_value(i), 0.0, 1.0, argv[0]);
         } else if (!std::strcmp(arg, "--slo-window-us")) {
             slo_window_us = need_count(i);
         } else if (!std::strcmp(arg, "--update-rate")) {
-            update_rate = std::atof(need_value(i));
+            update_rate = realValue(need_value(i), 0.0, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--update-skew")) {
-            update_skew = std::atof(need_value(i));
+            update_skew = realValue(need_value(i), 0.0, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--rw-ratio")) {
-            rw_ratio = std::atof(need_value(i));
+            rw_ratio = realValue(need_value(i), 0.0, 1.0, argv[0]);
         } else if (!std::strcmp(arg, "--metrics-out")) {
             metrics_out = need_value(i);
         } else if (!std::strcmp(arg, "--metrics-interval-us")) {
@@ -363,9 +383,6 @@ main(int argc, char **argv)
     }
 
     if (batch == 0 || batches == 0)
-        usage(argv[0]);
-    if (update_rate < 0.0 || update_skew < 0.0 || rw_ratio < 0.0 ||
-        rw_ratio > 1.0)
         usage(argv[0]);
     if (!serve && (update_rate > 0.0 || update_skew > 0.0 || rw_ratio > 0.0))
         usage(argv[0]);  // the update stream rides the serve harness
