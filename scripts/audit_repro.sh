@@ -2,7 +2,7 @@
 # Two-run reproducibility audit: run the same seeded config twice with
 # RECSSD_AUDIT=1 (deep runtime invariant checks live) and byte-diff
 # every exported artifact -- stats JSON, metrics JSONL, Chrome trace,
-# and stdout. Separate processes, so ASLR / allocator variation is in
+# critical-path blame JSON, and stdout. Separate processes, so ASLR / allocator variation is in
 # play: any hash-order leak into an export shows up as a diff here
 # even if an in-process double run would hide it.
 #
@@ -69,9 +69,10 @@ run_twice() {
                 --stats-json stats.json \
                 --metrics-out metrics.jsonl \
                 --trace-out trace.json \
+                --blame-out blame.json \
                 > stdout)
     done
-    for art in stats.json metrics.jsonl trace.json stdout; do
+    for art in stats.json metrics.jsonl trace.json blame.json stdout; do
         if ! cmp -s "$workdir/$name/run1/$art" "$workdir/$name/run2/$art"
         then
             echo "audit_repro: $name: $art differs between run 1 and run 2"

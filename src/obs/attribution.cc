@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <iomanip>
 #include <ostream>
 #include <string>
-#include <unordered_map>
+
+#include "src/obs/critical_path.h"
 
 namespace recssd
 {
@@ -15,106 +15,19 @@ namespace
 {
 
 /**
- * Point-lookup index only (determinism rule R3): attribution walks
- * requests in root-span insertion order and does `find(req)` here; the
- * map itself is never iterated, and each per-request vector preserves
- * span append order, so hash order never reaches any output.
+ * The sweep charges each segment to a span of the highest-priority
+ * active phase, so summing span ticks by phase is exactly the phase
+ * breakdown; uncovered time lands in `other`.
  */
-using SpanIndex =
-    std::unordered_map<std::uint64_t, std::vector<const SpanRecord *>>;
-
-SpanIndex
-indexByRequest(const Tracer &tracer)
-{
-    SpanIndex index;
-    for (const SpanRecord &s : tracer.spans()) {
-        if (s.req != 0 && s.phase != Phase::Request)
-            index[s.req].push_back(&s);
-    }
-    return index;
-}
-
 RequestAttribution
-attributeIndexed(const SpanIndex &index, const SpanRecord &root)
+foldByPhase(const RequestSweep::Result &swept)
 {
     RequestAttribution out;
-    out.req = root.req;
-    Tick lo = root.begin;
-    Tick hi = root.end == maxTick ? root.begin : root.end;
-    out.e2e = hi - lo;
-    if (out.e2e == 0)
-        return out;
-
-    // Children: the request's own spans plus — for scheduler queries —
-    // the fused batch that executed it, clamped to the root interval.
-    std::vector<std::pair<Tick, Tick>> clamped;  // parallel to phases
-    std::vector<Phase> phases;
-    auto collect = [&](std::uint64_t req) {
-        auto it = index.find(req);
-        if (it == index.end())
-            return;
-        for (const SpanRecord *s : it->second) {
-            Tick b = std::max(s->begin, lo);
-            Tick e = std::min(s->end == maxTick ? hi : s->end, hi);
-            if (b >= e)
-                continue;
-            clamped.emplace_back(b, e);
-            phases.push_back(s->phase);
-        }
-    };
-    collect(root.req);
-    if (root.parent != 0)
-        collect(root.parent);
-
-    // Elementary-segment sweep: charge each boundary-to-boundary
-    // segment to the highest-priority active phase. One sorted pass
-    // over open/close edges with per-phase active counts keeps this
-    // O(n log n) in spans (the old all-pairs scan was quadratic and
-    // dominated trace export on big serve runs).
-    struct Edge
-    {
-        Tick t;
-        bool close;  ///< closes sort before opens at equal t
-        Phase phase;
-    };
-    std::vector<Edge> edges;
-    edges.reserve(clamped.size() * 2);
-    for (std::size_t j = 0; j < clamped.size(); ++j) {
-        edges.push_back({clamped[j].first, false, phases[j]});
-        edges.push_back({clamped[j].second, true, phases[j]});
-    }
-    std::sort(edges.begin(), edges.end(), [](const Edge &a, const Edge &b) {
-        if (a.t != b.t)
-            return a.t < b.t;
-        return a.close && !b.close;
-    });
-
-    unsigned active[numPhases] = {};
-    auto charge = [&](Tick b, Tick e) {
-        if (b >= e)
-            return;
-        // phasePriority is the enum value, so the scan runs highest
-        // priority first; uncovered segments fall through to Other.
-        Phase winner = Phase::Other;
-        for (int p = static_cast<int>(numPhases) - 1; p >= 0; --p) {
-            if (active[p] != 0) {
-                winner = static_cast<Phase>(p);
-                break;
-            }
-        }
-        out.perPhase[static_cast<unsigned>(winner)] += e - b;
-    };
-
-    Tick cursor = lo;
-    for (const Edge &edge : edges) {
-        charge(cursor, edge.t);
-        cursor = std::max(cursor, edge.t);
-        if (edge.close)
-            --active[static_cast<unsigned>(edge.phase)];
-        else
-            ++active[static_cast<unsigned>(edge.phase)];
-    }
-    charge(cursor, hi);
+    out.req = swept.req;
+    out.e2e = swept.e2e;
+    for (const RequestSweep::Charge &c : swept.charges)
+        out.perPhase[static_cast<unsigned>(c.span->phase)] += c.ticks;
+    out.perPhase[static_cast<unsigned>(Phase::Other)] += swept.uncovered;
     return out;
 }
 
@@ -123,33 +36,16 @@ attributeIndexed(const SpanIndex &index, const SpanRecord &root)
 RequestAttribution
 attributeRequest(const Tracer &tracer, const SpanRecord &root)
 {
-    return attributeIndexed(indexByRequest(tracer), root);
+    return foldByPhase(RequestSweep(tracer).sweep(root));
 }
 
 AttributionReport
 attribute(const Tracer &tracer, const char *root_name)
 {
-    // Pick the request population: named roots when present (serving
-    // queries), otherwise every root (bare launchBatch harnesses).
-    std::vector<const SpanRecord *> roots;
-    bool named_only = false;
-    for (const SpanRecord &s : tracer.spans()) {
-        if (s.phase != Phase::Request)
-            continue;
-        bool named = root_name && !std::strcmp(s.name, root_name);
-        if (named && !named_only) {
-            named_only = true;
-            roots.clear();
-        }
-        if (!named_only || named)
-            roots.push_back(&s);
-    }
-
-    SpanIndex index = indexByRequest(tracer);
+    RequestSweep sweep(tracer);
     std::vector<RequestAttribution> per_req;
-    per_req.reserve(roots.size());
-    for (const SpanRecord *root : roots)
-        per_req.push_back(attributeIndexed(index, *root));
+    for (const SpanRecord *root : requestRoots(tracer, root_name))
+        per_req.push_back(foldByPhase(sweep.sweep(*root)));
 
     AttributionReport report;
     report.requests = static_cast<unsigned>(per_req.size());

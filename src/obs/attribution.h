@@ -9,6 +9,12 @@
  * times of one request sum to exactly its end-to-end latency — time
  * covered by no span lands in the explicit `other` bucket, which keeps
  * the accounting honest instead of silently complete.
+ *
+ * There is no sweep here: the report folds the per-span ticks of the
+ * shared `RequestSweep` (critical_path.h) by phase. That sweep charges
+ * each instant to a span of the highest-priority active phase, so the
+ * fold is exact, and the phase and blame reports share one request
+ * population and one accounting of every tick.
  */
 
 #ifndef RECSSD_OBS_ATTRIBUTION_H
@@ -61,15 +67,15 @@ struct RequestAttribution
 /**
  * Attribute one request's interval across phases. Child spans are the
  * request's own plus (for scheduler queries) its fused batch's,
- * clamped to the root interval.
+ * clamped to the root interval (see `RequestSweep`).
  */
 RequestAttribution attributeRequest(const Tracer &tracer,
                                     const SpanRecord &root);
 
 /**
- * Build the aggregate report. Requests are root spans named `rootName`
- * if any exist ("query" in serve mode), otherwise every root span —
- * so bench code works unchanged across harnesses.
+ * Build the aggregate report over `requestRoots(tracer, rootName)`:
+ * roots named `rootName` if any exist ("query" in serve mode),
+ * otherwise every root span.
  */
 AttributionReport attribute(const Tracer &tracer,
                             const char *rootName = "query");

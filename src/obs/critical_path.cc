@@ -5,8 +5,6 @@
 #include <cstring>
 #include <iomanip>
 #include <ostream>
-#include <set>
-#include <tuple>
 #include <unordered_map>
 
 #include "src/common/audit.h"
@@ -19,118 +17,16 @@ namespace
 {
 
 /**
- * Point-lookup index only (determinism rule R3): blame walks requests
- * in root-span insertion order and does `find(req)` here; the map is
- * never iterated, and each per-request vector preserves span append
- * order, so hash order never reaches any output.
+ * Fold per-span ticks into per-(track, name) slices, preserving
+ * first-appearance order. Slice strings borrow from the tracer, which
+ * outlives every report built from it.
  */
-using SpanIndex =
-    std::unordered_map<std::uint64_t, std::vector<const SpanRecord *>>;
-
-SpanIndex
-indexByRequest(const Tracer &tracer)
-{
-    SpanIndex index;
-    for (const SpanRecord &s : tracer.spans()) {
-        if (s.req != 0 && s.phase != Phase::Request)
-            index[s.req].push_back(&s);
-    }
-    return index;
-}
-
 RequestBlame
-blameIndexed(const Tracer &tracer, const SpanIndex &index,
-             const SpanRecord &root)
+foldBlame(const Tracer &tracer, const RequestSweep::Result &swept)
 {
     RequestBlame out;
-    out.req = root.req;
-    Tick lo = root.begin;
-    Tick hi = root.end == maxTick ? root.begin : root.end;
-    out.e2e = hi - lo;
-    if (out.e2e == 0)
-        return out;
-
-    // Children: the request's own spans plus — for scheduler queries —
-    // the fused batch that executed it, clamped to the root interval.
-    struct Child
-    {
-        const SpanRecord *span;
-        Tick b, e;  ///< clamped interval
-    };
-    std::vector<Child> children;
-    auto collect = [&](std::uint64_t req) {
-        auto it = index.find(req);
-        if (it == index.end())
-            return;
-        for (const SpanRecord *s : it->second) {
-            Tick b = std::max(s->begin, lo);
-            Tick e = std::min(s->end == maxTick ? hi : s->end, hi);
-            if (b >= e)
-                continue;
-            children.push_back({s, b, e});
-        }
-    };
-    collect(root.req);
-    if (root.parent != 0)
-        collect(root.parent);
-
-    // Elementary-segment sweep, same O(n log n) shape as attribution:
-    // sorted open/close edges, but the winner of each segment is the
-    // deepest active *span*, not just the deepest phase. Depth key is
-    // (phase priority, original begin tick, collection index): a span
-    // opened later is the more proximate cause of the wait, and the
-    // index makes equal-tick ties deterministic.
-    using Key = std::tuple<int, Tick, std::size_t>;
-    struct Edge
-    {
-        Tick t;
-        bool close;  ///< closes sort before opens at equal t
-        std::size_t child;
-    };
-    std::vector<Edge> edges;
-    edges.reserve(children.size() * 2);
-    for (std::size_t j = 0; j < children.size(); ++j) {
-        edges.push_back({children[j].b, false, j});
-        edges.push_back({children[j].e, true, j});
-    }
-    std::sort(edges.begin(), edges.end(), [](const Edge &a, const Edge &b) {
-        if (a.t != b.t)
-            return a.t < b.t;
-        if (a.close != b.close)
-            return a.close;
-        return a.child < b.child;
-    });
-
-    std::set<Key> active;
-    std::vector<Tick> perChild(children.size(), 0);
-    Tick otherTicks = 0;
-    auto keyOf = [&](std::size_t j) {
-        return Key{phasePriority(children[j].span->phase),
-                   children[j].span->begin, j};
-    };
-    auto charge = [&](Tick b, Tick e) {
-        if (b >= e)
-            return;
-        if (active.empty())
-            otherTicks += e - b;
-        else
-            perChild[std::get<2>(*active.rbegin())] += e - b;
-    };
-
-    Tick cursor = lo;
-    for (const Edge &edge : edges) {
-        charge(cursor, edge.t);
-        cursor = std::max(cursor, edge.t);
-        if (edge.close)
-            active.erase(keyOf(edge.child));
-        else
-            active.insert(keyOf(edge.child));
-    }
-    charge(cursor, hi);
-
-    // Fold per-span ticks into per-(track, name) slices, preserving
-    // first-appearance order. Slice strings borrow from the tracer,
-    // which outlives every report built from it.
+    out.req = swept.req;
+    out.e2e = swept.e2e;
     const std::vector<std::string> &tracks = tracer.tracks();
     auto addSlice = [&](const char *track, const char *name, Phase phase,
                         Tick ticks) {
@@ -144,16 +40,113 @@ blameIndexed(const Tracer &tracer, const SpanIndex &index,
         }
         out.slices.push_back({track, name, phase, ticks});
     };
-    for (std::size_t j = 0; j < children.size(); ++j) {
-        addSlice(tracks[children[j].span->track].c_str(),
-                 children[j].span->name, children[j].span->phase,
-                 perChild[j]);
+    for (const RequestSweep::Charge &c : swept.charges) {
+        addSlice(tracks[c.span->track].c_str(), c.span->name,
+                 c.span->phase, c.ticks);
     }
-    addSlice("", "other", Phase::Other, otherTicks);
+    addSlice("", "other", Phase::Other, swept.uncovered);
     return out;
 }
 
 }  // namespace
+
+std::vector<const SpanRecord *>
+requestRoots(const Tracer &tracer, const char *root_name)
+{
+    std::vector<const SpanRecord *> named, all;
+    for (const SpanRecord &s : tracer.spans()) {
+        if (s.phase != Phase::Request)
+            continue;
+        all.push_back(&s);
+        if (root_name && !std::strcmp(s.name, root_name))
+            named.push_back(&s);
+    }
+    return named.empty() ? all : named;
+}
+
+RequestSweep::RequestSweep(const Tracer &tracer)
+{
+    for (const SpanRecord &s : tracer.spans()) {
+        if (s.req != 0 && s.phase != Phase::Request)
+            index_[s.req].push_back(&s);
+    }
+}
+
+RequestSweep::Result
+RequestSweep::sweep(const SpanRecord &root) const
+{
+    Result out;
+    out.req = root.req;
+    Tick lo = root.begin;
+    Tick hi = root.end == maxTick ? root.begin : root.end;
+    out.e2e = hi - lo;
+    if (out.e2e == 0)
+        return out;
+
+    // Edges carry the child's collection index. Opens sort by original
+    // begin, which also orders them by clamped begin.
+    using Edge = std::pair<Tick, std::uint32_t>;
+    std::vector<Edge> opens, closes;
+    auto collect = [&](std::uint64_t req) {
+        auto it = index_.find(req);
+        if (it == index_.end())
+            return;
+        for (const SpanRecord *s : it->second) {
+            Tick b = std::max(s->begin, lo);
+            Tick e = std::min(s->end == maxTick ? hi : s->end, hi);
+            if (b >= e)
+                continue;
+            auto j = static_cast<std::uint32_t>(out.charges.size());
+            out.charges.push_back({s, 0});
+            opens.emplace_back(s->begin, j);
+            closes.emplace_back(e, j);
+        }
+    };
+    collect(root.req);
+    if (root.parent != 0)
+        collect(root.parent);
+    std::sort(opens.begin(), opens.end());
+    std::sort(closes.begin(), closes.end());
+
+    // Opening in (begin, index) order puts every span above all active
+    // spans of its phase, so a per-phase stack holds that phase's
+    // winner on top once closed spans are popped as they surface. The
+    // highest phase with a live span wins the segment.
+    std::vector<std::uint32_t> stacks[numPhases];
+    std::vector<bool> closed(out.charges.size(), false);
+    Tick cursor = lo;
+    auto advanceTo = [&](Tick t) {
+        if (t <= cursor)
+            return;
+        Tick *winner = &out.uncovered;
+        for (int p = static_cast<int>(numPhases) - 1; p >= 0; --p) {
+            std::vector<std::uint32_t> &stack = stacks[p];
+            while (!stack.empty() && closed[stack.back()])
+                stack.pop_back();
+            if (!stack.empty()) {
+                winner = &out.charges[stack.back()].ticks;
+                break;
+            }
+        }
+        *winner += t - cursor;
+        cursor = t;
+    };
+    for (std::size_t o = 0, c = 0; c < closes.size();) {
+        Tick open_at =
+            o < opens.size() ? std::max(opens[o].first, lo) : maxTick;
+        if (open_at < closes[c].first) {
+            advanceTo(open_at);
+            std::uint32_t j = opens[o++].second;
+            stacks[static_cast<unsigned>(out.charges[j].span->phase)]
+                .push_back(j);
+        } else {
+            advanceTo(closes[c].first);
+            closed[closes[c++].second] = true;
+        }
+    }
+    advanceTo(hi);
+    return out;
+}
 
 Tick
 RequestBlame::totalTicks() const
@@ -178,7 +171,7 @@ blameIsQueueing(const char *name)
 RequestBlame
 blameRequest(const Tracer &tracer, const SpanRecord &root)
 {
-    return blameIndexed(tracer, indexByRequest(tracer), root);
+    return foldBlame(tracer, RequestSweep(tracer).sweep(root));
 }
 
 std::size_t
@@ -207,27 +200,10 @@ validateSpanOrdering(const Tracer &tracer)
 BlameReport
 computeBlame(const Tracer &tracer, const char *root_name)
 {
-    // Same population rule as phase attribution: named roots when
-    // present (serving queries), otherwise every root.
-    std::vector<const SpanRecord *> roots;
-    bool named_only = false;
-    for (const SpanRecord &s : tracer.spans()) {
-        if (s.phase != Phase::Request)
-            continue;
-        bool named = root_name && !std::strcmp(s.name, root_name);
-        if (named && !named_only) {
-            named_only = true;
-            roots.clear();
-        }
-        if (!named_only || named)
-            roots.push_back(&s);
-    }
-
-    SpanIndex index = indexByRequest(tracer);
+    RequestSweep sweep(tracer);
     std::vector<RequestBlame> per_req;
-    per_req.reserve(roots.size());
-    for (const SpanRecord *root : roots)
-        per_req.push_back(blameIndexed(tracer, index, *root));
+    for (const SpanRecord *root : requestRoots(tracer, root_name))
+        per_req.push_back(foldBlame(tracer, sweep.sweep(*root)));
 
     const bool audit = auditEnabled();
 

@@ -1,6 +1,7 @@
 /**
  * @file
- * Critical-path blame attribution from a recorded trace.
+ * Critical-path blame attribution from a recorded trace, and the one
+ * per-request span sweep that both observability reports fold.
  *
  * Phase attribution (attribution.h) answers "what kind of work" each
  * request instant was; blame attribution answers the operator's
@@ -16,10 +17,12 @@
  * The aggregate report carries two views: the whole measured
  * population, and the tail — requests whose end-to-end latency is at
  * or above the population p99 — so "68% of p99 time blocked on die 3
- * queueing" is a direct read of one row. The sweep is the same
- * O(n log n) elementary-segment pass as attribution.cc: sort
- * open/close edges once, keep the active set in an ordered container,
- * charge each segment to its maximum.
+ * queueing" is a direct read of one row.
+ *
+ * `RequestSweep` is the one O(n log n) engine under both reports. The
+ * winning span's phase is always the highest-priority active phase,
+ * so the phase report is its per-span ticks folded by phase, and
+ * blame is the same ticks folded by resource.
  */
 
 #ifndef RECSSD_OBS_CRITICAL_PATH_H
@@ -28,6 +31,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/types.h"
@@ -36,6 +40,57 @@
 
 namespace recssd
 {
+
+/**
+ * The measured population, in insertion order: root spans named
+ * `rootName` when any exist ("query" in serve mode), otherwise every
+ * root — so bench code works unchanged across harnesses.
+ */
+std::vector<const SpanRecord *> requestRoots(const Tracer &tracer,
+                                             const char *rootName);
+
+/**
+ * The elementary-segment sweep: index a trace once, sweep each root.
+ * A root's children are the request's own spans plus — for scheduler
+ * queries — its fused batch's, clamped to the root interval. Each
+ * segment goes to the active child with the largest key (phase
+ * priority, original begin, collection index); the index makes
+ * equal-tick ties deterministic. Segments no child covers are
+ * `uncovered`, so the ticks partition the e2e interval exactly.
+ */
+class RequestSweep
+{
+  public:
+    explicit RequestSweep(const Tracer &tracer);
+
+    /** One child span and the ticks charged to it. */
+    struct Charge
+    {
+        const SpanRecord *span = nullptr;
+        Tick ticks = 0;
+    };
+
+    struct Result
+    {
+        std::uint64_t req = 0;
+        Tick e2e = 0;
+        /** Children in collection order; ticks may be zero. */
+        std::vector<Charge> charges;
+        Tick uncovered = 0;
+    };
+
+    Result sweep(const SpanRecord &root) const;
+
+  private:
+    /**
+     * Point-lookup index only (determinism rule R3): reports walk
+     * requests in root-span insertion order and `find(req)` here; the
+     * map is never iterated, and each per-request vector preserves
+     * span append order, so hash order never reaches any output.
+     */
+    std::unordered_map<std::uint64_t, std::vector<const SpanRecord *>>
+        index_;
+};
 
 /**
  * One blame target: a (track, span-name) pair, e.g.
@@ -105,18 +160,13 @@ struct RequestBlame
 /** True if `name` is a waiting-in-line span (blame kind "queue"). */
 bool blameIsQueueing(const char *name);
 
-/**
- * Blame one request's interval. Child spans are the request's own
- * plus (for scheduler queries) its fused batch's, clamped to the root
- * interval — identical population rules to `attributeRequest`.
- */
+/** Blame one request's interval (children as in `RequestSweep`). */
 RequestBlame blameRequest(const Tracer &tracer, const SpanRecord &root);
 
 /**
- * Build the aggregate blame report over root spans named `rootName`
- * when any exist ("query" in serve mode), otherwise every root.
- * Under RECSSD_AUDIT every request's slices are checked to partition
- * its end-to-end interval exactly.
+ * Build the aggregate blame report over `requestRoots(tracer,
+ * rootName)`. Under RECSSD_AUDIT every request's slices are checked
+ * to partition its end-to-end interval exactly.
  */
 BlameReport computeBlame(const Tracer &tracer,
                          const char *rootName = "query");
