@@ -72,18 +72,23 @@ def blame_fractions(report, tail=False, top=8):
 
     Segments are "track/name" blame targets, heaviest `top` kept,
     the rest folded into "(rest)" so die-per-channel fan-outs don't
-    drown the legend.
+    drown the legend. Rows are keyed by phase too, so the phases of
+    one target (a PCIe `xfer` moving commands or results) sum into
+    one segment.
     """
     key = "tail_fraction" if tail else "fraction"
-    rows = sorted(report["resources"], key=lambda r: -r[key])
+    targets = {}
+    for row in report["resources"]:
+        label = "%s/%s" % (row["track"] or "(uncovered)", row["name"])
+        targets[label] = targets.get(label, 0.0) + row[key]
     fractions = {}
     rest = 0.0
-    for i, row in enumerate(rows):
-        track = row["track"] or "(uncovered)"
+    ranked = sorted(targets.items(), key=lambda kv: -kv[1])
+    for i, (label, fraction) in enumerate(ranked):
         if i < top:
-            fractions["%s/%s" % (track, row["name"])] = row[key]
+            fractions[label] = fraction
         else:
-            rest += row[key]
+            rest += fraction
     if rest > 0.0:
         fractions["(rest)"] = rest
     return fractions

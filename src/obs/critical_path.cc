@@ -17,7 +17,7 @@ namespace
 {
 
 /**
- * Fold per-span ticks into per-(track, name) slices, preserving
+ * Fold per-span ticks into per-(track, name, phase) slices, preserving
  * first-appearance order. Slice strings borrow from the tracer, which
  * outlives every report built from it.
  */
@@ -33,7 +33,8 @@ foldBlame(const Tracer &tracer, const RequestSweep::Result &swept)
         if (ticks == 0)
             return;
         for (RequestBlame::Slice &s : out.slices) {
-            if (!std::strcmp(s.track, track) && !std::strcmp(s.name, name)) {
+            if (s.phase == phase && !std::strcmp(s.track, track) &&
+                !std::strcmp(s.name, name)) {
                 s.ticks += ticks;
                 return;
             }
@@ -222,12 +223,13 @@ computeBlame(const Tracer &tracer, const char *root_name)
         e2es[static_cast<std::size_t>(0.99 * (e2es.size() - 1))];
     report.tailThresholdUs = ticksToUs(tail_threshold);
 
-    // Aggregate rows keyed by (track, name); first-appearance order
-    // until the final sort. The unordered map is a point-lookup index
-    // only (rule R3) — output order comes from the rows vector.
+    // Aggregate rows keyed by (track, name, phase); first-appearance
+    // order until the final sort. The unordered map is a point-lookup
+    // index only (rule R3) — output order comes from the rows vector.
     std::unordered_map<std::string, std::size_t> rowIndex;
     auto rowFor = [&](const RequestBlame::Slice &s) -> BlameRow & {
-        std::string key = std::string(s.track) + '\x1f' + s.name;
+        std::string key = std::string(s.track) + '\x1f' + s.name + '\x1f' +
+                          phaseName(s.phase);
         auto it = rowIndex.find(key);
         if (it == rowIndex.end()) {
             it = rowIndex.emplace(std::move(key), report.rows.size()).first;
@@ -294,7 +296,9 @@ computeBlame(const Tracer &tracer, const char *root_name)
                       return a.totalUs > b.totalUs;
                   if (a.track != b.track)
                       return a.track < b.track;
-                  return a.name < b.name;
+                  if (a.name != b.name)
+                      return a.name < b.name;
+                  return a.phase < b.phase;
               });
     return report;
 }

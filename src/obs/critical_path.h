@@ -10,9 +10,10 @@
  * request's end-to-end interval is charged to the deepest span active
  * at that instant — ties broken by phase specificity, then by span
  * nesting (a later-opened span is the more specific cause) — and
- * aggregated by (track, span-name), split into queueing vs service.
- * Per-request blame therefore partitions the end-to-end latency
- * exactly, tick for tick, the same invariant the phase report keeps.
+ * aggregated by (track, span-name, phase), split into queueing vs
+ * service. Per-request blame therefore partitions the end-to-end
+ * latency exactly, tick for tick, the same invariant the phase report
+ * keeps.
  *
  * The aggregate report carries two views: the whole measured
  * population, and the tail — requests whose end-to-end latency is at
@@ -93,8 +94,10 @@ class RequestSweep
 };
 
 /**
- * One blame target: a (track, span-name) pair, e.g.
- * ("flash.ch0.die1", "wait"). `queueing` classifies the span name —
+ * One blame target: a (track, span-name, phase) triple, e.g.
+ * ("flash.ch0.die1", "wait", flash.read). One span name can carry
+ * several phases (a PCIe `xfer` moves commands or SLS results), and
+ * each gets its own row. `queueing` classifies the span name —
  * waiting-in-line names (sched_queue, queue_wait, wait, fw_pause)
  * versus doing-work names (everything else).
  */
@@ -116,7 +119,7 @@ struct BlameRow
 
 struct BlameReport
 {
-    /** Rows sorted by totalUs descending (ties: track, then name). */
+    /** Rows sorted by totalUs descending (ties: track, name, phase). */
     std::vector<BlameRow> rows;
     unsigned requests = 0;
     double totalRequestUs = 0.0;
@@ -133,7 +136,8 @@ struct BlameReport
     void print(std::ostream &os) const;
     void writeJson(std::ostream &os) const;
 
-    /** Row for (track, name), or nullptr (linear scan; test use). */
+    /** Heaviest row for (track, name), or nullptr (linear scan; test
+     *  use). */
     const BlameRow *find(const std::string &track,
                          const std::string &name) const;
 };
@@ -143,7 +147,7 @@ struct RequestBlame
 {
     std::uint64_t req = 0;
     Tick e2e = 0;
-    /** (track, name, ticks) slices; sum of ticks == e2e exactly. */
+    /** (track, name, phase) slices; sum of ticks == e2e exactly. */
     struct Slice
     {
         const char *track = "";  ///< interned track name ("" = other)

@@ -5,6 +5,8 @@
  * The load-bearing guarantees locked down here:
  *  - blame is exact: each request's critical-path slices partition its
  *    end-to-end latency tick for tick, healthy or faulted;
+ *  - the one request sweep matches a brute-force reference on random
+ *    traces, and blame folded by phase is the phase report exactly;
  *  - blame names the culprit: a die stalled by fault injection absorbs
  *    the dominant share of the tail's critical-path time, on that
  *    die's queue row;
@@ -18,13 +20,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
+#include "src/common/random.h"
 #include "src/core/system.h"
 #include "src/fault/fault_plan.h"
+#include "src/obs/attribution.h"
 #include "src/obs/critical_path.h"
 #include "src/obs/slo_monitor.h"
 #include "src/obs/utilization.h"
@@ -215,6 +222,196 @@ TEST(Blame, FaultsAndHedgingKeepTheTraceCausal)
             << rb.req;
     }
     EXPECT_GT(s.completedQueries, 0u);
+}
+
+TEST(Blame, SlicesFoldByPhaseToPhaseAttribution)
+{
+    // Blame and the phase report fold one sweep, so a request's blame
+    // slices summed by phase must be its phase times exactly. PCIe
+    // `xfer` spans carry nvme.xfer or nvme.result_dma on one (track,
+    // name): a slice keyed without the phase folds one into the other.
+    SystemConfig cfg = test::smallSystem();
+    cfg.shard.numShards = 4;
+    cfg.shard.policy = ShardPolicy::RowRange;
+    System sys(cfg);
+    sys.enableTracing();
+    runSmallServe(sys, smallServe());
+
+    const Tracer &tracer = sys.tracer();
+    unsigned roots = 0;
+    unsigned mismatched = 0;
+    for (const SpanRecord &s : tracer.spans()) {
+        if (s.phase != Phase::Request || std::strcmp(s.name, "query"))
+            continue;
+        ++roots;
+        RequestBlame rb = blameRequest(tracer, s);
+        RequestAttribution ra = attributeRequest(tracer, s);
+        Tick folded[numPhases] = {};
+        for (const RequestBlame::Slice &slice : rb.slices)
+            folded[static_cast<unsigned>(slice.phase)] += slice.ticks;
+        bool same = true;
+        for (unsigned p = 0; p < numPhases; ++p) {
+            EXPECT_EQ(folded[p], ra.perPhase[p])
+                << "request " << rb.req << ", phase "
+                << phaseName(static_cast<Phase>(p));
+            same = same && folded[p] == ra.perPhase[p];
+        }
+        mismatched += same ? 0 : 1;
+    }
+    EXPECT_GT(roots, 0u);
+    EXPECT_EQ(mismatched, 0u) << "requests whose blame slices fold to "
+                                 "other phase times, of " << roots;
+}
+
+/** Brute-force sweep: every elementary interval, every child. */
+struct ReferenceSweep
+{
+    std::vector<const SpanRecord *> children;  ///< collection order
+    std::vector<Tick> perChild;
+    Tick uncovered = 0;
+    Tick perPhase[numPhases] = {};
+};
+
+ReferenceSweep
+referenceSweep(const Tracer &tracer, const SpanRecord &root)
+{
+    ReferenceSweep ref;
+    const Tick lo = root.begin;
+    const Tick hi = root.end;
+    std::vector<std::pair<Tick, Tick>> clamped;
+    for (std::uint64_t req : {root.req, root.parent}) {
+        if (req == 0)
+            continue;
+        for (const SpanRecord &s : tracer.spans()) {
+            if (s.req != req || s.phase == Phase::Request)
+                continue;
+            Tick b = std::max(s.begin, lo);
+            Tick e = std::min(s.end == maxTick ? hi : s.end, hi);
+            if (b >= e)
+                continue;
+            ref.children.push_back(&s);
+            clamped.emplace_back(b, e);
+        }
+    }
+    ref.perChild.assign(ref.children.size(), 0);
+
+    std::vector<Tick> cuts = {lo, hi};
+    for (const auto &[b, e] : clamped) {
+        cuts.push_back(b);
+        cuts.push_back(e);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+    for (std::size_t i = 0; i + 1 < cuts.size(); ++i) {
+        const Tick x = cuts[i];
+        const Tick len = cuts[i + 1] - x;
+        // Winner: the covering child with the largest (phase priority,
+        // original begin, collection index); the deepest covering phase
+        // is tracked on its own for the phase report.
+        std::size_t best = ref.children.size();
+        std::tuple<int, Tick, std::size_t> best_key{-1, 0, 0};
+        int deepest = -1;
+        for (std::size_t k = 0; k < ref.children.size(); ++k) {
+            if (clamped[k].first > x || x >= clamped[k].second)
+                continue;
+            const SpanRecord &s = *ref.children[k];
+            std::tuple<int, Tick, std::size_t> key{phasePriority(s.phase),
+                                                   s.begin, k};
+            if (key > best_key) {
+                best_key = key;
+                best = k;
+            }
+            deepest = std::max(deepest, phasePriority(s.phase));
+        }
+        if (best == ref.children.size()) {
+            ref.uncovered += len;
+            ref.perPhase[static_cast<unsigned>(Phase::Other)] += len;
+        } else {
+            ref.perChild[best] += len;
+            ref.perPhase[static_cast<unsigned>(deepest)] += len;
+        }
+    }
+    return ref;
+}
+
+TEST(Blame, SweepMatchesBruteForceReferenceOnRandomTraces)
+{
+    // Random traces dense in the sweep's edge cases: same-tick opens
+    // and closes, spans opening before the root, open-ended spans,
+    // `other`-phase children, zero-length spans, a parent batch's
+    // spans, and (phase, begin) ties only the collection index breaks.
+    const Phase phases[] = {Phase::SchedQueue, Phase::HostQueueWait,
+                            Phase::NvmeXfer,   Phase::ResultDma,
+                            Phase::FlashRead,  Phase::Other};
+    const char *names[] = {"xfer", "wait", "read"};
+    Rng rng(2024);
+    for (unsigned trial = 0; trial < 400; ++trial) {
+        EventQueue eq;
+        Tracer tracer(eq);
+        tracer.setEnabled(true);
+        const TrackId tracks[] = {tracer.track("t0"), tracer.track("t1")};
+        auto advance = [&](Tick by) {
+            eq.scheduleAfter(by, []() {});
+            eq.run();
+        };
+
+        advance(20);
+        const std::uint64_t batch = tracer.newRequestId();
+        SpanId batch_root = tracer.beginRequest("batch", batch);
+        advance(rng.uniformInt(4));
+        const std::uint64_t query = tracer.newRequestId();
+        SpanId query_root = tracer.beginRequest("query", query);
+        tracer.setRequestParent(query, batch);
+        const Tick t0 = eq.now();
+        const Tick len = 1 + rng.uniformInt(30);
+
+        // Two phases per trial, so same-phase overlaps are common.
+        const Phase pick[] = {phases[rng.uniformInt(6)],
+                              phases[rng.uniformInt(6)]};
+        const unsigned spans = 1 + static_cast<unsigned>(rng.uniformInt(24));
+        for (unsigned i = 0; i < spans; ++i) {
+            std::uint64_t req = rng.bernoulli(0.3) ? batch : query;
+            if (rng.bernoulli(0.05))
+                req = 0;  // unowned: never a child
+            // Coarse begins (a 3-tick grid from 6 ticks before the
+            // root) make (phase, begin) ties frequent.
+            Tick begin = t0 - 6 + 3 * rng.uniformInt((len + 12) / 3);
+            Tick end = rng.bernoulli(0.1)
+                           ? maxTick
+                           : begin + 3 * rng.uniformInt(6);
+            tracer.span(tracks[rng.uniformInt(2)],
+                        names[rng.uniformInt(3)], pick[rng.uniformInt(2)],
+                        req, begin, end);
+        }
+        advance(len);
+        tracer.end(query_root);
+        advance(rng.uniformInt(5));
+        tracer.end(batch_root);
+
+        RequestSweep sweep(tracer);
+        for (const SpanRecord *root : requestRoots(tracer, nullptr)) {
+            ReferenceSweep ref = referenceSweep(tracer, *root);
+            RequestSweep::Result got = sweep.sweep(*root);
+            ASSERT_EQ(got.charges.size(), ref.children.size())
+                << "trial " << trial;
+            for (std::size_t k = 0; k < ref.children.size(); ++k) {
+                EXPECT_EQ(got.charges[k].span, ref.children[k])
+                    << "trial " << trial << ", child " << k;
+                EXPECT_EQ(got.charges[k].ticks, ref.perChild[k])
+                    << "trial " << trial << ", child " << k;
+            }
+            EXPECT_EQ(got.uncovered, ref.uncovered) << "trial " << trial;
+
+            RequestAttribution ra = attributeRequest(tracer, *root);
+            for (unsigned p = 0; p < numPhases; ++p) {
+                EXPECT_EQ(ra.perPhase[p], ref.perPhase[p])
+                    << "trial " << trial << ", phase "
+                    << phaseName(static_cast<Phase>(p));
+            }
+            if (HasFailure())
+                return;  // one trial's diagnostics are enough
+        }
+    }
 }
 
 TEST(Blame, ValidateSpanOrderingFlagsCorruptTraces)
