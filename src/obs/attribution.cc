@@ -14,11 +14,8 @@ namespace recssd
 namespace
 {
 
-/**
- * The sweep charges each segment to a span of the highest-priority
- * active phase, so summing span ticks by phase is exactly the phase
- * breakdown; uncovered time lands in `other`.
- */
+/** Each segment's span has the highest active phase, so summing span
+ *  ticks by phase is exact; uncovered time lands in `other`. */
 RequestAttribution
 foldByPhase(const RequestSweep::Result &swept)
 {
@@ -36,15 +33,15 @@ foldByPhase(const RequestSweep::Result &swept)
 RequestAttribution
 attributeRequest(const Tracer &tracer, const SpanRecord &root)
 {
-    return foldByPhase(RequestSweep(tracer).sweep(root));
+    return foldByPhase(RequestSweep(tracer, nullptr).sweep(root));
 }
 
 AttributionReport
 attribute(const Tracer &tracer, const char *root_name)
 {
-    RequestSweep sweep(tracer);
+    RequestSweep sweep(tracer, root_name);
     std::vector<RequestAttribution> per_req;
-    for (const SpanRecord *root : requestRoots(tracer, root_name))
+    for (const SpanRecord *root : sweep.roots())
         per_req.push_back(foldByPhase(sweep.sweep(*root)));
 
     AttributionReport report;

@@ -10,11 +10,9 @@
  * covered by no span lands in the explicit `other` bucket, which keeps
  * the accounting honest instead of silently complete.
  *
- * There is no sweep here: the report folds the per-span ticks of the
- * shared `RequestSweep` (critical_path.h) by phase. That sweep charges
- * each instant to a span of the highest-priority active phase, so the
- * fold is exact, and the phase and blame reports share one request
- * population and one accounting of every tick.
+ * The report runs no sweep of its own: it folds the per-span ticks of
+ * `RequestSweep` (critical_path.h) by phase, as blame folds them by
+ * resource.
  */
 
 #ifndef RECSSD_OBS_ATTRIBUTION_H
@@ -73,9 +71,9 @@ RequestAttribution attributeRequest(const Tracer &tracer,
                                     const SpanRecord &root);
 
 /**
- * Build the aggregate report over `requestRoots(tracer, rootName)`:
- * roots named `rootName` if any exist ("query" in serve mode),
- * otherwise every root span.
+ * Build the aggregate report over the `RequestSweep` roots: those
+ * named `rootName` if any exist ("query" in serve mode), otherwise
+ * every root span.
  */
 AttributionReport attribute(const Tracer &tracer,
                             const char *rootName = "query");

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <iomanip>
 #include <ostream>
+#include <tuple>
 #include <unordered_map>
 
 #include "src/common/audit.h"
@@ -51,26 +52,21 @@ foldBlame(const Tracer &tracer, const RequestSweep::Result &swept)
 
 }  // namespace
 
-std::vector<const SpanRecord *>
-requestRoots(const Tracer &tracer, const char *root_name)
+RequestSweep::RequestSweep(const Tracer &tracer, const char *root_name)
 {
-    std::vector<const SpanRecord *> named, all;
+    std::vector<const SpanRecord *> all;
     for (const SpanRecord &s : tracer.spans()) {
-        if (s.phase != Phase::Request)
+        if (s.phase != Phase::Request) {
+            if (s.req != 0)
+                index_[s.req].push_back(&s);
             continue;
+        }
         all.push_back(&s);
         if (root_name && !std::strcmp(s.name, root_name))
-            named.push_back(&s);
+            roots_.push_back(&s);
     }
-    return named.empty() ? all : named;
-}
-
-RequestSweep::RequestSweep(const Tracer &tracer)
-{
-    for (const SpanRecord &s : tracer.spans()) {
-        if (s.req != 0 && s.phase != Phase::Request)
-            index_[s.req].push_back(&s);
-    }
+    if (roots_.empty())
+        roots_ = std::move(all);
 }
 
 RequestSweep::Result
@@ -172,7 +168,7 @@ blameIsQueueing(const char *name)
 RequestBlame
 blameRequest(const Tracer &tracer, const SpanRecord &root)
 {
-    return foldBlame(tracer, RequestSweep(tracer).sweep(root));
+    return foldBlame(tracer, RequestSweep(tracer, nullptr).sweep(root));
 }
 
 std::size_t
@@ -201,9 +197,9 @@ validateSpanOrdering(const Tracer &tracer)
 BlameReport
 computeBlame(const Tracer &tracer, const char *root_name)
 {
-    RequestSweep sweep(tracer);
+    RequestSweep sweep(tracer, root_name);
     std::vector<RequestBlame> per_req;
-    for (const SpanRecord *root : requestRoots(tracer, root_name))
+    for (const SpanRecord *root : sweep.roots())
         per_req.push_back(foldBlame(tracer, sweep.sweep(*root)));
 
     const bool audit = auditEnabled();
@@ -230,15 +226,10 @@ computeBlame(const Tracer &tracer, const char *root_name)
     auto rowFor = [&](const RequestBlame::Slice &s) -> BlameRow & {
         std::string key = std::string(s.track) + '\x1f' + s.name + '\x1f' +
                           phaseName(s.phase);
-        auto it = rowIndex.find(key);
-        if (it == rowIndex.end()) {
-            it = rowIndex.emplace(std::move(key), report.rows.size()).first;
-            BlameRow row;
-            row.track = s.track;
-            row.name = s.name;
-            row.phase = s.phase;
-            row.queueing = blameIsQueueing(s.name);
-            report.rows.push_back(std::move(row));
+        auto [it, fresh] = rowIndex.try_emplace(key, report.rows.size());
+        if (fresh) {
+            report.rows.push_back(
+                {s.track, s.name, s.phase, blameIsQueueing(s.name)});
         }
         return report.rows[it->second];
     };
@@ -290,15 +281,11 @@ computeBlame(const Tracer &tracer, const char *root_name)
     report.tailQueueingFraction =
         report.tailTotalUs > 0.0 ? tail_queue_us / report.tailTotalUs : 0.0;
 
+    // Heaviest first; ties by ascending track, name, then phase.
     std::sort(report.rows.begin(), report.rows.end(),
               [](const BlameRow &a, const BlameRow &b) {
-                  if (a.totalUs != b.totalUs)
-                      return a.totalUs > b.totalUs;
-                  if (a.track != b.track)
-                      return a.track < b.track;
-                  if (a.name != b.name)
-                      return a.name < b.name;
-                  return a.phase < b.phase;
+                  return std::tie(b.totalUs, a.track, a.name, a.phase) <
+                         std::tie(a.totalUs, b.track, b.name, b.phase);
               });
     return report;
 }

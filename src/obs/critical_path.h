@@ -43,26 +43,22 @@ namespace recssd
 {
 
 /**
- * The measured population, in insertion order: root spans named
- * `rootName` when any exist ("query" in serve mode), otherwise every
- * root — so bench code works unchanged across harnesses.
- */
-std::vector<const SpanRecord *> requestRoots(const Tracer &tracer,
-                                             const char *rootName);
-
-/**
  * The elementary-segment sweep: index a trace once, sweep each root.
- * A root's children are the request's own spans plus — for scheduler
- * queries — its fused batch's, clamped to the root interval. Each
- * segment goes to the active child with the largest key (phase
- * priority, original begin, collection index); the index makes
- * equal-tick ties deterministic. Segments no child covers are
- * `uncovered`, so the ticks partition the e2e interval exactly.
+ * Roots are those named `rootName` when any exist ("query" in serve
+ * mode), otherwise every root, so bench code works across harnesses.
+ * A root's children are its own spans plus — for scheduler queries —
+ * its fused batch's, clamped to the root interval. Each segment goes
+ * to the active child with the largest key (phase priority, original
+ * begin, collection index); segments no child covers are `uncovered`,
+ * so the ticks partition the e2e interval exactly.
  */
 class RequestSweep
 {
   public:
-    explicit RequestSweep(const Tracer &tracer);
+    RequestSweep(const Tracer &tracer, const char *rootName);
+
+    /** The measured roots, in insertion order. */
+    const std::vector<const SpanRecord *> &roots() const { return roots_; }
 
     /** One child span and the ticks charged to it. */
     struct Charge
@@ -83,21 +79,18 @@ class RequestSweep
     Result sweep(const SpanRecord &root) const;
 
   private:
-    /**
-     * Point-lookup index only (determinism rule R3): reports walk
-     * requests in root-span insertion order and `find(req)` here; the
-     * map is never iterated, and each per-request vector preserves
-     * span append order, so hash order never reaches any output.
-     */
+    std::vector<const SpanRecord *> roots_;
+    /** Point-lookup index only (determinism rule R3): never iterated,
+     *  and each per-request vector keeps span append order, so hash
+     *  order never reaches any output. */
     std::unordered_map<std::uint64_t, std::vector<const SpanRecord *>>
         index_;
 };
 
 /**
  * One blame target: a (track, span-name, phase) triple, e.g.
- * ("flash.ch0.die1", "wait", flash.read). One span name can carry
- * several phases (a PCIe `xfer` moves commands or SLS results), and
- * each gets its own row. `queueing` classifies the span name —
+ * ("flash.ch0.die1", "wait", flash.read); a PCIe `xfer` moving
+ * commands or SLS results is two rows. `queueing` classifies the name —
  * waiting-in-line names (sched_queue, queue_wait, wait, fw_pause)
  * versus doing-work names (everything else).
  */
@@ -168,9 +161,9 @@ bool blameIsQueueing(const char *name);
 RequestBlame blameRequest(const Tracer &tracer, const SpanRecord &root);
 
 /**
- * Build the aggregate blame report over `requestRoots(tracer,
- * rootName)`. Under RECSSD_AUDIT every request's slices are checked
- * to partition its end-to-end interval exactly.
+ * Build the aggregate blame report over the `RequestSweep` roots.
+ * Under RECSSD_AUDIT every request's slices are checked to partition
+ * its end-to-end interval exactly.
  */
 BlameReport computeBlame(const Tracer &tracer,
                          const char *rootName = "query");

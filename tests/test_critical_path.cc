@@ -388,8 +388,8 @@ TEST(Blame, SweepMatchesBruteForceReferenceOnRandomTraces)
         advance(rng.uniformInt(5));
         tracer.end(batch_root);
 
-        RequestSweep sweep(tracer);
-        for (const SpanRecord *root : requestRoots(tracer, nullptr)) {
+        RequestSweep sweep(tracer, nullptr);
+        for (const SpanRecord *root : sweep.roots()) {
             ReferenceSweep ref = referenceSweep(tracer, *root);
             RequestSweep::Result got = sweep.sweep(*root);
             ASSERT_EQ(got.charges.size(), ref.children.size())
