@@ -20,7 +20,8 @@ LoadGenerator::LoadGenerator(const ArrivalSpec &arrivals,
                              const QueryShapeSpec &shape, std::uint64_t seed)
     : arrivals_(arrivals), shape_(shape), rng_(seed)
 {
-    recssd_assert(arrivals_.qps > 0.0, "arrival rate must be positive");
+    recssd_assert(arrivals_.qps >= minQps, "arrival rate below %g qps",
+                  minQps);
     recssd_assert(arrivals_.burstiness >= 1.0,
                   "burstiness below 1 would be smoother than Poisson");
     recssd_assert(shape_.minBatch >= 1 && shape_.minBatch <= shape_.maxBatch,

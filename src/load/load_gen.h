@@ -31,10 +31,13 @@ enum class ArrivalProcess
     Bursty,   ///< hyperexponential gaps (CoV > 1): flash-crowd traffic
 };
 
+/** Slowest legal arrival rate: one query per ~11.6 simulated days. */
+constexpr double minQps = 1e-6;
+
 struct ArrivalSpec
 {
     ArrivalProcess process = ArrivalProcess::Poisson;
-    /** Mean arrival rate (queries per simulated second). */
+    /** Mean arrival rate (queries per simulated second), >= minQps. */
     double qps = 100.0;
     /**
      * Bursty: burst factor B >= 1. Gaps are drawn from a two-phase

@@ -14,6 +14,8 @@ UpdateStream::UpdateStream(const UpdateStreamSpec &spec,
     : spec_(spec), tableRows_(std::move(tableRows)), rng_(seed)
 {
     recssd_assert(spec_.enabled(), "update stream constructed while off");
+    recssd_assert(spec_.rate >= minUpdateRate && spec_.rate <= maxUpdateRate,
+                  "update rate %g rows/s out of range", spec_.rate);
     recssd_assert(!tableRows_.empty(), "update stream needs tables");
     std::uint64_t total = 0;
     cumRows_.reserve(tableRows_.size());

@@ -24,10 +24,19 @@
 namespace recssd
 {
 
+/**
+ * Legal nonzero update rates, rows per simulated second. Far below the
+ * floor the mean gap overflows a Tick; above the ceiling it is under
+ * one tick, so `next()` would clamp it and deliver a lower rate.
+ */
+constexpr double minUpdateRate = 1e-6;
+constexpr double maxUpdateRate = 1e9;
+
 /** Configuration of the online-update stream (off by default). */
 struct UpdateStreamSpec
 {
-    /** Aggregate update rate, rows per simulated second; 0 = off. */
+    /** Aggregate update rate, rows per simulated second; 0 = off,
+     *  otherwise in [minUpdateRate, maxUpdateRate]. */
     double rate = 0.0;
     /** Zipf skew of updated rows within a table; 0 = uniform. */
     double skew = 0.0;

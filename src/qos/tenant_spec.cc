@@ -131,8 +131,9 @@ parseTenant(const std::string &text)
                   text.c_str());
         }
     }
-    recssd_assert(t.arrivals.qps > 0.0,
-                  "tenant spec: '%s' needs qps > 0", t.name.c_str());
+    recssd_assert(t.arrivals.qps >= minQps,
+                  "tenant spec: '%s' needs qps >= %g", t.name.c_str(),
+                  minQps);
     recssd_assert(t.share.weight > 0.0,
                   "tenant spec: '%s' needs weight > 0", t.name.c_str());
     recssd_assert(t.share.reservation >= 0.0 && t.share.limit >= 0.0,
@@ -144,6 +145,11 @@ parseTenant(const std::string &text)
     recssd_assert(t.updates.rate >= 0.0 && t.updates.skew >= 0.0,
                   "tenant spec: '%s' has a negative update knob",
                   t.name.c_str());
+    recssd_assert(t.updates.rate == 0.0 ||
+                      (t.updates.rate >= minUpdateRate &&
+                       t.updates.rate <= maxUpdateRate),
+                  "tenant spec: '%s' update_rate outside [%g, %g]",
+                  t.name.c_str(), minUpdateRate, maxUpdateRate);
     return t;
 }
 

@@ -76,12 +76,12 @@ struct TenantSpec
  *
  *   tenant := name [':' key '=' value (',' key '=' value)*]
  *   keys   := model (zoo name), arrival (poisson|fixed|bursty),
- *             qps (float), burst (float), batch (uint, fixes the
- *             per-query sample count), tables (uint, 0 = all),
+ *             qps (float >= 1e-6), burst (float), batch (uint, fixes
+ *             the per-query sample count), tables (uint, 0 = all),
  *             pool (float pooling scale), slo (time: <float><ns|us|
  *             ms|s>), res / weight / limit (floats, ops per second),
- *             queries (uint), update_rate (rows/s), update_skew
- *             (zipf alpha), seed (uint)
+ *             queries (uint), update_rate (rows/s: 0, or 1e-6 to
+ *             1e9), update_skew (zipf alpha), seed (uint)
  *
  * Example:
  *   victim:model=RM1,qps=40,slo=20ms,res=20,weight=1;

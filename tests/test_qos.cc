@@ -95,6 +95,12 @@ TEST(TenantSpecDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(TenantSet::parse("a;a"), "duplicate");
     EXPECT_DEATH(TenantSet::parse("t:bogus=1"), "bogus");
     EXPECT_DEATH(TenantSet::parse("t:qps=-3"), "qps");
+    // Rates whose mean gap no Tick can represent.
+    EXPECT_DEATH(TenantSet::parse("t:qps=1e-300"), "qps >= 1e-06");
+    EXPECT_DEATH(TenantSet::parse("t:qps=10,update_rate=1e-300"),
+                 "update_rate outside");
+    EXPECT_DEATH(TenantSet::parse("t:qps=10,update_rate=1e12"),
+                 "update_rate outside");
     EXPECT_DEATH(TenantSet::parse("t:weight=0"), "weight");
     EXPECT_DEATH(TenantSet::parse("t:res=50,limit=10"), "limit");
     EXPECT_DEATH(TenantSet::parse("bad name:qps=1"), "name");

@@ -80,13 +80,15 @@
  * Online embedding updates (serve mode; see README "Write path"):
  *   --update-rate R     mixed read-write serving: stream R row
  *                       updates per second at the SSD-resident
- *                       tables (default 0 = read-only)
+ *                       tables, R in [1e-6, 1e9] (default 0 =
+ *                       read-only)
  *   --update-skew A     zipf skew of updated rows (default 0 =
  *                       uniform); hot rows collide with hot reads
  *   --rw-ratio F        alternative to --update-rate: pick the
  *                       update rate so reads are fraction F of all
  *                       row operations (lookups + updates), F in
- *                       (0,1]
+ *                       (0,1]; the derived rate must lie in
+ *                       [1e-6, 1e9]
  *
  * Multi-tenant QoS (serve mode; see README "Multi-tenant QoS"):
  *   --tenants SPEC      serve a tenant mix instead of one anonymous
@@ -319,7 +321,7 @@ main(int argc, char **argv)
             serve = true;
         } else if (!std::strcmp(arg, "--qps")) {
             // Bounded below so arrival gaps stay far inside a Tick.
-            qps = realValue(need_value(i), 1e-6, DBL_MAX, argv[0]);
+            qps = realValue(need_value(i), minQps, DBL_MAX, argv[0]);
         } else if (!std::strcmp(arg, "--arrival")) {
             arrival = need_value(i);
         } else if (!std::strcmp(arg, "--burst")) {
@@ -390,6 +392,18 @@ main(int argc, char **argv)
     // streams (per-tenant update_rate/update_skew in the spec).
     if (!tenants_spec.empty() &&
         (!serve || update_rate > 0.0 || rw_ratio > 0.0))
+        usage(argv[0]);
+    if (rw_ratio > 0.0 && update_rate <= 0.0) {
+        // Row reads arrive at qps x batch x lookups/sample; pick the
+        // update rate that makes reads fraction F of all row
+        // operations (reads + updates). F = 1 keeps it read-only.
+        double reads_per_sec =
+            qps * batch * modelByName(model_name).lookupsPerSample();
+        update_rate = reads_per_sec * (1.0 - rw_ratio) / rw_ratio;
+    }
+    // A nonzero update rate needs a mean gap a Tick can represent.
+    if (update_rate != 0.0 &&
+        !(update_rate >= minUpdateRate && update_rate <= maxUpdateRate))
         usage(argv[0]);
     if (qos_policy != "dmclock" && qos_policy != "fifo")
         usage(argv[0]);
@@ -677,13 +691,6 @@ main(int argc, char **argv)
             scfg.slo.target = Tick(slo_target_us) * usec;
             scfg.slo.objective = slo_goal;
             scfg.slo.window = Tick(slo_window_us) * usec;
-        }
-        if (rw_ratio > 0.0 && update_rate <= 0.0) {
-            // Row reads arrive at qps x batch x lookups/sample; pick
-            // the update rate that makes reads fraction F of all row
-            // operations (reads + updates). F = 1 keeps it read-only.
-            double reads_per_sec = qps * batch * model.lookupsPerSample();
-            update_rate = reads_per_sec * (1.0 - rw_ratio) / rw_ratio;
         }
         scfg.updates.rate = update_rate;
         scfg.updates.skew = update_skew;
