@@ -49,11 +49,16 @@
 #      0 (digests agree across repeats, the DRAM oracle passes). It
 #      links the library's public API, which the main build never
 #      exercises from outside.
-#   8  quick + shard + layout + obs2 + updates2 + qos suites again
-#      under ASan+UBSan in a separate build tree (the 4-device,
+#   8  quick + shard + layout + obs2 + updates2 + qos + fuzz suites
+#      again under ASan+UBSan in a separate build tree (the 4-device,
 #      freq-layout, mixed-RW and 2-tenant QoS smokes, the
 #      no-resilience dropout smoke and two bench-gate configs ride the
-#      sanitizer leg too).
+#      sanitizer leg too). ctest -L fuzz is tools/cli_fuzz.py: the
+#      recssd_sim usage text must match its committed golden, and
+#      every bad number, unknown choice word, missing value and
+#      unknown flag, at a seeded spot in a valid argv, must exit 2;
+#      under the sanitizers that also proves the rejection paths
+#      clean. Stage 2 runs it once in the main build.
 #      RECSSD_SKIP_SANITIZERS=1 skips this stage (hosts without ASan).
 # The main build is configured with -DRECSSD_WERROR=ON: the tier-1
 # tree must compile warning-clean under -Wall -Wextra -Werror.
@@ -191,7 +196,7 @@ done
 
 if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
     echo
-    echo "=== stage 8: quick + shard + layout + obs2 + updates2 + qos suites under ASan+UBSan ==="
+    echo "=== stage 8: quick + shard + layout + obs2 + updates2 + qos + fuzz suites under ASan+UBSan ==="
     SAN_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all"
     cmake -B build-asan -S . \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -204,6 +209,7 @@ if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
     ctest --test-dir build-asan -L obs2 --output-on-failure -j
     RECSSD_AUDIT=1 ctest --test-dir build-asan -L updates2 --output-on-failure -j
     ctest --test-dir build-asan -L qos --output-on-failure -j
+    ctest --test-dir build-asan -L fuzz --output-on-failure
     # The bench gate under ASan: simulated-time metrics are host- and
     # sanitizer-independent, so the same baselines must hold exactly.
     python3 scripts/bench_baseline.py --sim build-asan/tools/recssd_sim \

@@ -1,7 +1,8 @@
 #include "src/fault/fault_plan.h"
 
 #include <cctype>
-#include <cstdlib>
+#include <climits>
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 
@@ -41,7 +42,14 @@ parseScenario(const std::string &text)
     else
         panic("fault plan: unknown kind '%s' (stall|fwpause|inflate|"
               "dropout)", kind.c_str());
-    s.device = static_cast<unsigned>(std::strtoul(dev.c_str(), nullptr, 10));
+    auto count = [&](const std::string &v, std::uint64_t max) {
+        return specCount(v, max, text, "fault plan");
+    };
+    // ch / die: an index, or -1 for a seeded random one.
+    auto index = [&](const std::string &v) {
+        return v == "-1" ? -1 : static_cast<int>(count(v, INT_MAX));
+    };
+    s.device = static_cast<unsigned>(count(dev, UINT_MAX));
 
     // Kind-specific defaults so terse specs stay meaningful.
     if (s.kind == FaultKind::DieStall || s.kind == FaultKind::FirmwarePause)
@@ -69,13 +77,13 @@ parseScenario(const std::string &text)
         else if (key == "jitter")
             s.jitter = parseTime(val, text, "fault plan");
         else if (key == "factor")
-            s.factor = std::atof(val.c_str());
+            s.factor = specReal(val, text, "fault plan");
         else if (key == "ch")
-            s.channel = std::atoi(val.c_str());
+            s.channel = index(val);
         else if (key == "die")
-            s.die = std::atoi(val.c_str());
+            s.die = index(val);
         else if (key == "count")
-            s.count = static_cast<unsigned>(std::atoi(val.c_str()));
+            s.count = static_cast<unsigned>(count(val, UINT_MAX));
         else
             panic("fault plan: unknown key '%s' in '%s'", key.c_str(),
                   text.c_str());
@@ -108,8 +116,8 @@ parseElement(FaultPlan &plan, std::string element)
     if (element.empty() || element.front() == '#')
         return;
     if (element.rfind("seed=", 0) == 0) {
-        plan.seed = static_cast<std::uint64_t>(
-            std::strtoull(element.c_str() + 5, nullptr, 10));
+        plan.seed =
+            specCount(element.substr(5), UINT64_MAX, element, "fault plan");
         return;
     }
     plan.scenarios.push_back(parseScenario(element));
@@ -151,16 +159,9 @@ FaultPlan::parseFile(const std::string &path)
 {
     std::ifstream is(path);
     recssd_assert(is.good(), "fault plan: cannot read '%s'", path.c_str());
-    FaultPlan plan;
-    std::string line;
-    while (std::getline(is, line)) {
-        // Lines may still pack several ';'-separated scenarios.
-        std::stringstream ss(line);
-        std::string element;
-        while (std::getline(ss, element, ';'))
-            parseElement(plan, element);
-    }
-    return plan;
+    std::stringstream text;
+    text << is.rdbuf();
+    return parse(text.str());
 }
 
 FaultPlan

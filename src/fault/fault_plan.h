@@ -93,9 +93,10 @@ struct DeviceFaultConfig
  *   scenario := kind '@' device [':' key '=' value (',' key '=' value)*]
  *   kind     := 'stall' | 'fwpause' | 'inflate' | 'dropout'
  *   keys     := at, dur, period, jitter (times: <float><ns|us|ms|s>),
- *               factor (float), ch, die (int, -1 = random),
- *               count (int)
+ *               factor (finite real), ch, die (count, or -1 =
+ *               random), count (count)
  *   plus a standalone 'seed=N' element setting the plan seed.
+ *   device and N are counts too: decimal digits only (parseCount).
  *
  * Example:
  *   stall@1:at=2ms,dur=3ms,period=8ms,count=20;dropout@3:at=50ms

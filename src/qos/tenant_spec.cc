@@ -1,10 +1,7 @@
 #include "src/qos/tenant_spec.h"
 
 #include <cctype>
-#include <cerrno>
 #include <climits>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -16,42 +13,6 @@ namespace recssd
 
 namespace
 {
-
-double
-parseDouble(const std::string &text, const std::string &where)
-{
-    double v = 0.0;
-    try {
-        v = std::stod(text);
-    } catch (...) {
-        panic("tenant spec: bad number '%s' in '%s'", text.c_str(),
-              where.c_str());
-    }
-    // `inf` and `nan` parse, but no knob has a meaning for them.
-    if (!std::isfinite(v))
-        panic("tenant spec: non-finite number '%s' in '%s'", text.c_str(),
-              where.c_str());
-    return v;
-}
-
-unsigned
-parseUnsigned(const std::string &text, const std::string &where)
-{
-    // Digits only: strtoul would wrap a leading '-' to a huge count.
-    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
-        panic("tenant spec: bad integer '%s' in '%s'", text.c_str(),
-              where.c_str());
-    errno = 0;
-    char *end = nullptr;
-    unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-    if (*end != '\0')
-        panic("tenant spec: bad integer '%s' in '%s'", text.c_str(),
-              where.c_str());
-    if (errno == ERANGE || v > UINT_MAX)
-        panic("tenant spec: integer '%s' out of range in '%s'",
-              text.c_str(), where.c_str());
-    return static_cast<unsigned>(v);
-}
 
 TenantSpec
 parseTenant(const std::string &text)
@@ -69,6 +30,13 @@ parseTenant(const std::string &text)
     }
     std::string kvs = colon == std::string::npos ? ""
                                                  : text.substr(colon + 1);
+    auto real = [&](const std::string &v) {
+        return specReal(v, text, "tenant spec");
+    };
+    auto count = [&](const std::string &v) {
+        return static_cast<unsigned>(
+            specCount(v, UINT_MAX, text, "tenant spec"));
+    };
     std::stringstream ss(kvs);
     std::string kv;
     while (std::getline(ss, kv, ',')) {
@@ -93,39 +61,39 @@ parseTenant(const std::string &text)
                 panic("tenant spec: unknown arrival '%s' (poisson|fixed|"
                       "bursty)", value.c_str());
         } else if (key == "qps") {
-            t.arrivals.qps = parseDouble(value, text);
+            t.arrivals.qps = real(value);
         } else if (key == "burst") {
-            t.arrivals.burstiness = parseDouble(value, text);
+            t.arrivals.burstiness = real(value);
         } else if (key == "batch") {
-            unsigned b = parseUnsigned(value, text);
+            unsigned b = count(value);
             recssd_assert(b > 0, "tenant spec: batch must be > 0 in '%s'",
                           text.c_str());
             t.shape.minBatch = b;
             t.shape.maxBatch = b;
         } else if (key == "tables") {
-            unsigned n = parseUnsigned(value, text);
+            unsigned n = count(value);
             t.shape.minTables = n;
             t.shape.maxTables = n;
         } else if (key == "pool") {
-            double p = parseDouble(value, text);
+            double p = real(value);
             t.shape.minPoolingScale = p;
             t.shape.maxPoolingScale = p;
         } else if (key == "slo") {
             t.slo = parseTime(value, text, "tenant spec");
         } else if (key == "res") {
-            t.share.reservation = parseDouble(value, text);
+            t.share.reservation = real(value);
         } else if (key == "weight") {
-            t.share.weight = parseDouble(value, text);
+            t.share.weight = real(value);
         } else if (key == "limit") {
-            t.share.limit = parseDouble(value, text);
+            t.share.limit = real(value);
         } else if (key == "queries") {
-            t.queries = parseUnsigned(value, text);
+            t.queries = count(value);
         } else if (key == "update_rate") {
-            t.updates.rate = parseDouble(value, text);
+            t.updates.rate = real(value);
         } else if (key == "update_skew") {
-            t.updates.skew = parseDouble(value, text);
+            t.updates.skew = real(value);
         } else if (key == "seed") {
-            t.seed = parseUnsigned(value, text);
+            t.seed = count(value);
         } else {
             panic("tenant spec: unknown key '%s' in '%s'", key.c_str(),
                   text.c_str());

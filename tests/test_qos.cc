@@ -104,6 +104,11 @@ TEST(TenantSpecDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(TenantSet::parse("t:weight=0"), "weight");
     EXPECT_DEATH(TenantSet::parse("t:res=50,limit=10"), "limit");
     EXPECT_DEATH(TenantSet::parse("bad name:qps=1"), "name");
+    // std::stod stopped at the number and ignored what followed.
+    EXPECT_DEATH(TenantSet::parse("t:qps=50x,queries=2"),
+                 "tenant spec: bad number '50x'");
+    EXPECT_DEATH(TenantSet::parse("t:qps=50,queries=2,weight=2abc"),
+                 "tenant spec: bad number '2abc'");
 }
 
 TEST(TenantSpecDeathTest, RejectsBadTimes)

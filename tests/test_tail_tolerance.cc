@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -117,6 +118,25 @@ TEST(FaultPlanParse, CommentsAndDefaults)
     EXPECT_EQ(plan.scenarios[0].count, 1u);
 }
 
+TEST(FaultPlanParse, FileLoadsLikeTheInlineSpec)
+{
+    const std::string spec = "seed=9\n# a comment\nstall@1:at=2ms,count=2,"
+                             "period=4ms; fwpause@0:at=1ms\ndropout@3\n";
+    std::string path = testing::TempDir() + "/fault_plan_test.txt";
+    std::ofstream(path) << spec;
+    FaultPlan file = FaultPlan::load(path);
+    FaultPlan inline_plan = FaultPlan::parse(spec);
+    EXPECT_EQ(file.seed, 9u);
+    ASSERT_EQ(file.scenarios.size(), 3u);
+    ASSERT_EQ(inline_plan.scenarios.size(), 3u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(file.scenarios[i].kind, inline_plan.scenarios[i].kind);
+        EXPECT_EQ(file.scenarios[i].device, inline_plan.scenarios[i].device);
+        EXPECT_EQ(file.scenarios[i].at, inline_plan.scenarios[i].at);
+        EXPECT_EQ(file.scenarios[i].count, inline_plan.scenarios[i].count);
+    }
+}
+
 TEST(FaultPlanParseDeathTest, RejectsBadTimes)
 {
     auto at = [](const char *time) {
@@ -130,6 +150,43 @@ TEST(FaultPlanParseDeathTest, RejectsBadTimes)
     EXPECT_DEATH(at("-1ms"), "fault plan: negative time");
     EXPECT_DEATH(at("5"), "fault plan: time '5' needs a ns/us/ms/s");
     EXPECT_DEATH(at("ms"), "fault plan: bad time 'ms'");
+}
+
+TEST(FaultPlanParseDeathTest, RejectsBadNumbers)
+{
+    // atoi/strtoul read these as 0 or 3, atof passed inf, count=-1
+    // wrapped to 4294967295 occurrences and ch=-3 meant "random".
+    EXPECT_DEATH(FaultPlan::parse("stall@abc"),
+                 "fault plan: bad integer 'abc' in 'stall@abc'");
+    EXPECT_DEATH(FaultPlan::parse("stall@0:ch=abc"),
+                 "fault plan: bad integer 'abc'");
+    EXPECT_DEATH(FaultPlan::parse("stall@0:die=1.5"),
+                 "fault plan: bad integer '1.5'");
+    EXPECT_DEATH(FaultPlan::parse("stall@0:count=3x,period=1ms"),
+                 "fault plan: bad integer '3x'");
+    EXPECT_DEATH(FaultPlan::parse("seed=abc;stall@0"),
+                 "fault plan: bad integer 'abc' in 'seed=abc'");
+    EXPECT_DEATH(FaultPlan::parse("inflate@0:factor=inf"),
+                 "fault plan: non-finite number 'inf'");
+    EXPECT_DEATH(FaultPlan::parse("inflate@0:factor=2x"),
+                 "fault plan: bad number '2x'");
+    EXPECT_DEATH(FaultPlan::parse("stall@0:count=-1,period=1ms"),
+                 "fault plan: bad integer '-1'");
+    EXPECT_DEATH(FaultPlan::parse("stall@0:ch=-3"),
+                 "fault plan: bad integer '-3'");
+    EXPECT_DEATH(FaultPlan::parse("stall@4294967296"),
+                 "fault plan: integer '4294967296' out of range");
+}
+
+TEST(FaultPlanParse, AcceptsRandomIndexAndLargestSeed)
+{
+    FaultPlan plan =
+        FaultPlan::parse("seed=18446744073709551615;stall@2:ch=-1,die=-1");
+    EXPECT_EQ(plan.seed, 18446744073709551615u);
+    ASSERT_EQ(plan.scenarios.size(), 1u);
+    EXPECT_EQ(plan.scenarios[0].device, 2u);
+    EXPECT_EQ(plan.scenarios[0].channel, -1);
+    EXPECT_EQ(plan.scenarios[0].die, -1);
 }
 
 TEST(HealthTrackerUnit, EjectsCoolsDownAndRestores)
