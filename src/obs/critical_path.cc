@@ -312,13 +312,15 @@ BlameReport::print(std::ostream &os) const
        << fmt(meanRequestUs, 1) << "us, tail = " << tailRequests
        << " requests >= " << fmt(tailThresholdUs, 1) << "us ==\n";
     os << "  " << std::left << std::setw(24) << "resource" << std::setw(14)
-       << "span" << std::setw(9) << "kind" << std::right << std::setw(7)
-       << "reqs" << std::setw(12) << "total-us" << std::setw(9) << "share"
-       << std::setw(11) << "tail" << "\n";
+       << "span" << std::setw(17) << "phase" << std::setw(9) << "kind"
+       << std::right << std::setw(7) << "reqs" << std::setw(12)
+       << "total-us" << std::setw(9) << "share" << std::setw(11) << "tail"
+       << "\n";
     for (const BlameRow &row : rows) {
         os << "  " << std::left << std::setw(24)
            << (row.track.empty() ? "(uncovered)" : row.track)
-           << std::setw(14) << row.name << std::setw(9)
+           << std::setw(14) << row.name << std::setw(17)
+           << phaseName(row.phase) << std::setw(9)
            << (row.queueing ? "queue" : "service") << std::right
            << std::setw(7) << row.requests << std::setw(12)
            << fmt(row.totalUs, 1) << std::setw(8)

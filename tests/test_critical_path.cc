@@ -161,6 +161,28 @@ TEST(Blame, ReportSharesSumToOneAndJsonIsWellFormed)
     EXPECT_NE(table.str().find("critical-path blame"), std::string::npos);
 }
 
+TEST(Blame, PrintedRowsNameTheirPhase)
+{
+    // One (track, span) pair can carry time in two phases; the table
+    // must tell its rows apart as blame.json does.
+    BlameReport report;
+    for (Phase phase : {Phase::NvmeXfer, Phase::ResultDma}) {
+        BlameRow row;
+        row.track = "ssd2.pcie";
+        row.name = "xfer";
+        row.phase = phase;
+        row.requests = 3;
+        row.totalUs = 10.0;
+        report.rows.push_back(row);
+    }
+    std::ostringstream table;
+    report.print(table);
+    const std::string text = table.str();
+    EXPECT_NE(text.find("phase"), std::string::npos);
+    EXPECT_NE(text.find("nvme.xfer"), std::string::npos);
+    EXPECT_NE(text.find("nvme.result_dma"), std::string::npos);
+}
+
 TEST(Blame, DieStallBlamesTheStalledDiesQueue)
 {
     System sys(stalledSystem());
