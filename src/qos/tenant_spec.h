@@ -82,6 +82,8 @@ struct TenantSpec
  *             ms|s>), res / weight / limit (floats, ops per second),
  *             queries (uint), update_rate (rows/s: 0, or 1e-6 to
  *             1e9), update_skew (zipf alpha), seed (uint)
+ *   A uint is decimal digits only and a float a fully consumed finite
+ *   number (parseCount / parseReal in src/common/parse_time.h).
  *
  * Example:
  *   victim:model=RM1,qps=40,slo=20ms,res=20,weight=1;
