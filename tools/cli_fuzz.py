@@ -18,7 +18,7 @@ Each bad flag goes at a seeded position inside a cheap valid serve
 argv, which itself must exit 0. Fault-plan and tenant grammar strings
 are out of scope here (their parsers have death tests).
 
-Usage: cli_fuzz.py --sim PATH [--seed N] [--golden FILE]
+Usage: cli_fuzz.py --sim PATH [--seed N]
 """
 
 import argparse
@@ -68,17 +68,16 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--sim", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--golden", default=GOLDEN)
     args = ap.parse_args()
     rng = random.Random(args.seed)
 
     status, usage = run(args.sim, ["--bogus"])
     usage = usage.replace(args.sim, "recssd_sim")
-    with open(args.golden) as f:
+    with open(GOLDEN) as f:
         golden = f.read()
     if status != 2 or usage != golden:
         sys.stderr.write("cli_fuzz: usage text (exit %s) differs from %s:"
-                         "\n%s" % (status, args.golden, usage))
+                         "\n%s" % (status, GOLDEN, usage))
         return 1
 
     flags = re.findall(r"\[(--[a-z-]+)(?: ([^\]]+))?\]", usage)
@@ -86,7 +85,8 @@ def main():
         sys.stderr.write("cli_fuzz: no flags in the usage text\n")
         return 1
 
-    status, _ = run(args.sim, [a for group in BASE for a in group])
+    base = [a for group in BASE for a in group]
+    status, _ = run(args.sim, base)
     if status != 0:
         sys.stderr.write("cli_fuzz: base argv exits %s, not 0\n" % status)
         return 1
@@ -100,7 +100,7 @@ def main():
     for name, metavar in flags:
         if not metavar:
             continue
-        cases.append([a for g in BASE for a in g] + [name])
+        cases.append(base + [name])
         kind = classify(metavar)
         if kind == "numeric":
             bad = BAD_NUMBERS
