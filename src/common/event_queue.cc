@@ -21,29 +21,20 @@ EventQueue::schedule(Tick when, Callback &&cb)
 }
 
 void
-EventQueue::scheduleSeries(std::vector<Tick> ticks, SeriesCallback &&fire)
+EventQueue::scheduleSeries(Tick first, std::uint64_t count,
+                           SeriesCallback &&fire)
 {
-    if (ticks.empty())
+    if (count == 0)
         return;
     recssd_assert(fire != nullptr, "cannot schedule a null series");
-    recssd_assert(ticks.front() >= now_,
-                  "series starts in the past (%llu < %llu)",
-                  static_cast<unsigned long long>(ticks.front()),
+    recssd_assert(first >= now_, "series starts in the past (%llu < %llu)",
+                  static_cast<unsigned long long>(first),
                   static_cast<unsigned long long>(now_));
-    for (std::size_t i = 1; i < ticks.size(); ++i) {
-        recssd_assert(ticks[i] >= ticks[i - 1],
-                      "series ticks must be non-decreasing (item %zu: "
-                      "%llu < %llu)",
-                      i, static_cast<unsigned long long>(ticks[i]),
-                      static_cast<unsigned long long>(ticks[i - 1]));
-    }
     // Reserve the sequence numbers eager scheduling would take now, so
     // every item pops with the key it would have had in the heap.
     const std::uint64_t seq0 = nextSeq_;
-    nextSeq_ += ticks.size();
-    const Tick first = ticks.front();
-    std::uint32_t index =
-        series_.put(Series{std::move(ticks), seq0, std::move(fire)});
+    nextSeq_ += count;
+    std::uint32_t index = series_.put(Series{count, seq0, std::move(fire)});
     push(Key{first, seq0, index | kSeriesSlot});
 }
 
@@ -112,7 +103,7 @@ EventQueue::runOne()
 {
     if (heap_.empty())
         return false;
-    Key key = popMin();
+    const Key key = heap_.front();
     if (audit_) {
         recssd_assert(!popped_ || key.when > lastWhen_ ||
                           (key.when == lastWhen_ && key.seq > lastSeq_),
@@ -132,6 +123,7 @@ EventQueue::runOne()
         runSeriesItem(key);
         return true;
     }
+    popMin();
     // Run the callback where it sits: slots never move, and this one
     // is not freed (so not reused by a re-entrant schedule) until the
     // callback returns.
@@ -147,19 +139,27 @@ EventQueue::runSeriesItem(const Key &key)
     // Series records never move, so the reference survives whatever
     // the item schedules.
     Series &series = series_[index];
-    const std::size_t i = key.seq - series.seq0;
-    const bool last = i + 1 == series.ticks.size();
-    if (!last) {
-        // The successor's key was fixed when the series was scheduled;
-        // pushing it now cannot reorder it against anything else.
-        recssd_assert(key.seq + 1 < nextSeq_,
-                      "series sequence number %llu was never reserved",
-                      static_cast<unsigned long long>(key.seq + 1));
-        push(Key{series.ticks[i + 1], key.seq + 1, key.slot});
-    }
-    series.fire(i);
-    if (last)
+    const std::uint64_t i = key.seq - series.seq0;
+    Tick next = key.when;
+    if (i + 1 == series.count) {
+        popMin();
+        series.fire(i, next);
         series_.release(index);
+        return;
+    }
+    // The key stays at the root while the item runs: whatever it
+    // schedules takes a later sequence number at a tick >= now. The
+    // successor's sequence number was reserved with the series, so
+    // pushing it cannot reorder it against anything else.
+    series.fire(i, next);
+    recssd_assert(next >= key.when,
+                  "series ticks must be non-decreasing (item %llu: "
+                  "%llu < %llu)",
+                  static_cast<unsigned long long>(i + 1),
+                  static_cast<unsigned long long>(next),
+                  static_cast<unsigned long long>(key.when));
+    popMin();
+    push(Key{next, key.seq + 1, key.slot});
 }
 
 Tick

@@ -36,7 +36,8 @@ class UtilizationCollector;  // can reach them without new plumbing
  * A series (`scheduleSeries`) is a sorted run of timed items known up
  * front, such as a serve's query arrivals. It reserves one sequence
  * number per item when scheduled but keeps only its next item in the
- * heap, so the heap holds in-flight work plus one key per series.
+ * heap and draws each successor as it goes, so nothing grows with its
+ * length.
  */
 class EventQueue
 {
@@ -44,8 +45,9 @@ class EventQueue
     /** Move-only; captures up to kInlineCallbackBytes live inline,
      *  bigger ones spill to a reused pool (src/common/inline_function.h). */
     using Callback = InlineFunction<void()>;
-    /** A series item's body; receives the item's index. */
-    using SeriesCallback = InlineFunction<void(std::size_t)>;
+    /** A series item's body: receives the item's index and sets `next`
+     *  to the following item's tick (ignored after the last item). */
+    using SeriesCallback = InlineFunction<void(std::size_t i, Tick &next)>;
 
     EventQueue();
 
@@ -72,18 +74,19 @@ class EventQueue
     }
 
     /**
-     * Schedule a sorted series: item i runs `fire(i)` at `ticks[i]`.
+     * Schedule a sorted series of `count` items, item 0 at `first`:
+     * item i runs `fire(i, next)`, which draws item i + 1's tick.
      *
-     * Pops in exactly the order that calling schedule(ticks[i], ...)
+     * Pops in exactly the order that calling schedule(tick[i], ...)
      * for every i, now and in index order, would give: the call
-     * reserves the n sequence numbers eager scheduling would consume,
-     * and item i pops with the key (ticks[i], seq0 + i). Only the next
-     * unfired item sits in the heap; it pushes its successor when it
-     * pops. `ticks` must be non-decreasing and start at or after now.
-     * `fire` is a deferred body, like schedule()'s callback.
+     * reserves the `count` sequence numbers eager scheduling would
+     * consume, and item i pops with the key (tick[i], seq0 + i). Only
+     * the next unfired item sits in the heap. Ticks must be
+     * non-decreasing and start at or after now. `fire` is a deferred
+     * body, like schedule()'s callback, and must not run the queue.
      */
-    void scheduleSeries(std::vector<Tick> ticks, SeriesCallback &&fire)
-        RECSSD_DEFERS_CALLBACK;
+    void scheduleSeries(Tick first, std::uint64_t count,
+                        SeriesCallback &&fire) RECSSD_DEFERS_CALLBACK;
 
     /** True when no events remain. */
     bool empty() const { return heap_.empty(); }
@@ -144,10 +147,10 @@ class EventQueue
 
     static constexpr std::uint32_t kSeriesSlot = 1u << 31;
 
-    /** A series with items left; `ticks` is consumed front to back. */
+    /** A series with items left. */
     struct Series
     {
-        std::vector<Tick> ticks;
+        std::uint64_t count = 0;
         std::uint64_t seq0 = 0;  ///< sequence number of item 0
         SeriesCallback fire;
     };
@@ -171,7 +174,8 @@ class EventQueue
     /** Remove the minimum key from the heap and return it. */
     Key popMin();
 
-    /** Run the series item `key` names, first pushing its successor. */
+    /** Run the series item `key` names, then hand its successor the
+     *  heap root it held while it ran. */
     void runSeriesItem(const Key &key);
 
     Tick now_ = 0;

@@ -1,5 +1,7 @@
 #include "src/fault/fault_injector.h"
 
+#include <algorithm>
+
 #include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/obs/tracer.h"
@@ -19,30 +21,55 @@ FaultInjector::FaultInjector(EventQueue &eq, const DeviceFaultConfig &cfg,
 void
 FaultInjector::arm()
 {
+    // An occurrence's draws, in order: jitter on its start, then its
+    // channel and die (for ch=-1 / die=-1).
+    struct Occurrence
+    {
+        Tick start;
+        unsigned ch = 0, die = 0;
+    };
+    auto draw = [this](const FaultScenario &s, std::uint64_t i, Rng &rng) {
+        const auto &fp = flash_.params();
+        Occurrence o{s.at + i * s.period};
+        if (s.jitter > 0)
+            o.start += rng.uniformInt(s.jitter);
+        if (s.kind == FaultKind::DieStall) {
+            o.ch = s.channel >= 0 ? static_cast<unsigned>(s.channel)
+                                  : static_cast<unsigned>(
+                                        rng.uniformInt(fp.numChannels));
+            o.die = s.die >= 0 ? static_cast<unsigned>(s.die)
+                               : static_cast<unsigned>(
+                                     rng.uniformInt(fp.diesPerChannel));
+            recssd_assert(o.ch < fp.numChannels && o.die < fp.diesPerChannel,
+                          "fault plan: ch/die out of range");
+        }
+        return o;
+    };
+    auto draws = [](const FaultScenario &s) {
+        return s.jitter > 0 || (s.kind == FaultKind::DieStall &&
+                                (s.channel < 0 || s.die < 0));
+    };
+    // Every draw comes from one Rng, in scenario-then-occurrence order.
+    // Each scenario is one lazy series drawing from its own copy of
+    // that Rng; a dry pass then advances the Rng past the series'
+    // draws, so the next scenario draws what eager arming drew.
     Rng rng(cfg_.seed);
-    const auto &fp = flash_.params();
-    for (const auto &s : cfg_.scenarios) {
-        for (unsigned i = 0; i < s.count; ++i) {
-            // All draws happen here, in scenario-then-occurrence order,
-            // so the schedule is fixed before the first event runs.
-            Tick start = s.at + static_cast<Tick>(i) * s.period;
-            if (s.jitter > 0)
-                start += rng.uniformInt(s.jitter);
-            unsigned ch = 0, die = 0;
-            if (s.kind == FaultKind::DieStall) {
-                ch = s.channel >= 0
-                         ? static_cast<unsigned>(s.channel)
-                         : static_cast<unsigned>(
-                               rng.uniformInt(fp.numChannels));
-                die = s.die >= 0
-                          ? static_cast<unsigned>(s.die)
-                          : static_cast<unsigned>(
-                                rng.uniformInt(fp.diesPerChannel));
-                recssd_assert(ch < fp.numChannels && die < fp.diesPerChannel,
-                              "fault plan: ch/die out of range");
-            }
-            eq_.schedule(start,
-                         [this, s, ch, die]() { fire(s, ch, die); });
+    const auto &scenarios = cfg_.scenarios;
+    for (auto it = scenarios.begin(); it != scenarios.end(); ++it) {
+        const FaultScenario &s = *it;
+        Rng own = rng;
+        const Occurrence first = draw(s, 0, own);
+        eq_.scheduleSeries(first.start, s.count,
+                           [this, s, draw, own, o = first](
+                               std::size_t i, Tick &next) mutable {
+                               const Occurrence due = o;
+                               o = draw(s, i + 1, own);
+                               next = o.start;
+                               fire(s, due.ch, due.die);
+                           });
+        if (std::any_of(it + 1, scenarios.end(), draws)) {
+            for (std::uint64_t i = 0; i < s.count; ++i)
+                draw(s, i, rng);
         }
     }
 }

@@ -4,11 +4,10 @@
  *
  * Owned by `Ssd` (constructed only when the device's
  * `DeviceFaultConfig` is non-empty, so fault-free configs carry zero
- * overhead). `arm()` resolves every random draw — die/channel picks
- * for `ch=-1`/`die=-1`, per-occurrence jitter — from a seeded `Rng` in
- * a fixed loop order, then schedules concrete fire events on the event
- * queue. From that point the firing schedule is data, not code: two
- * runs of the same config fire identically.
+ * overhead). `arm()` schedules each scenario as one lazy series that
+ * draws every occurrence — its jitter and, for `ch=-1`/`die=-1`, its
+ * die — from a seeded `Rng` in a fixed order as its predecessor fires,
+ * so two runs of the same config fire identically.
  *
  * Each firing bumps a counter (exported as `ssdN.fault.*`) and, when
  * tracing is on, drops a span on the device's `<prefix>fault` track so
@@ -39,8 +38,8 @@ class FaultInjector
                   const std::string &track_prefix = "");
 
     /**
-     * Resolve all randomness and schedule every occurrence. Call once,
-     * before the simulation starts (System's constructor does).
+     * Schedule every occurrence. Call once, before the simulation
+     * starts (System's constructor does).
      */
     void arm();
 

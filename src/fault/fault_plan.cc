@@ -92,6 +92,16 @@ parseScenario(const std::string &text)
                   text.c_str());
     recssd_assert(s.count == 1 || s.period > 0,
                   "fault plan: count>1 needs period in '%s'", text.c_str());
+    // Occurrence starts must not decrease: jitter draws from
+    // [0, jitter), so jitter <= period keeps each start before the
+    // next, and the last start must fit the clock.
+    recssd_assert(s.count == 1 || s.jitter <= s.period,
+                  "fault plan: jitter exceeds period in '%s'", text.c_str());
+    __extension__ typedef unsigned __int128 Wide;
+    recssd_assert(Wide(s.at) + Wide(s.count - 1) * s.period + s.jitter <=
+                      maxTick,
+                  "fault plan: occurrences overflow the clock in '%s'",
+                  text.c_str());
     if (s.kind == FaultKind::ReadInflation)
         recssd_assert(s.factor >= 1.0,
                       "fault plan: inflate factor < 1 in '%s'",

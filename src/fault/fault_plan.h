@@ -24,9 +24,9 @@
  *                   complete.
  *
  * Determinism: the only randomness (die/channel draws for `ch=-1` /
- * `die=-1`, period jitter) comes from a seeded `recssd::Rng`, resolved
- * in a fixed order when the injector arms, so the full firing schedule
- * is a pure function of the config (sim-lint R1 clean).
+ * `die=-1`, period jitter) comes from a seeded `recssd::Rng`, drawn in
+ * a fixed order, so the full firing schedule is a pure function of the
+ * config (sim-lint R1 clean).
  */
 
 #ifndef RECSSD_FAULT_FAULT_PLAN_H
@@ -97,6 +97,8 @@ struct DeviceFaultConfig
  *               random), count (count)
  *   plus a standalone 'seed=N' element setting the plan seed.
  *   device and N are counts too: decimal digits only (parseCount).
+ *   With count > 1, jitter <= period (starts stay in order), and the
+ *   last start, at + (count-1)*period + jitter, must fit a Tick.
  *
  * Example:
  *   stall@1:at=2ms,dur=3ms,period=8ms,count=20;dropout@3:at=50ms

@@ -86,17 +86,4 @@ LoadGenerator::nextShape()
     return s;
 }
 
-std::vector<QueryDesc>
-LoadGenerator::schedule(unsigned count)
-{
-    std::vector<QueryDesc> out;
-    out.reserve(count);
-    Tick now = 0;
-    for (unsigned i = 0; i < count; ++i) {
-        now += nextGap();
-        out.push_back(QueryDesc{now, nextShape()});
-    }
-    return out;
-}
-
 }  // namespace recssd

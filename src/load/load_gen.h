@@ -15,7 +15,6 @@
 #define RECSSD_LOAD_LOAD_GEN_H
 
 #include <cstdint>
-#include <vector>
 
 #include "src/common/random.h"
 #include "src/common/types.h"
@@ -77,13 +76,11 @@ struct QueryShapeSpec
     double maxPoolingScale = 1.0;
 };
 
-/** One generated query: when it arrives and what it asks for. */
-struct QueryDesc
-{
-    Tick arrival = 0;
-    QueryShape shape;
-};
-
+/**
+ * Query `i` arrives `nextGap()` after query `i - 1` (the first, after
+ * tick 0), and its shape is the `nextShape()` drawn right after that
+ * gap.
+ */
 class LoadGenerator
 {
   public:
@@ -99,15 +96,6 @@ class LoadGenerator
 
     /** Draw one query shape. */
     QueryShape nextShape();
-
-    /**
-     * Generate a full arrival schedule of `count` queries; the first
-     * arrival lands one gap after tick 0.
-     */
-    std::vector<QueryDesc> schedule(unsigned count);
-
-    const ArrivalSpec &arrivals() const { return arrivals_; }
-    const QueryShapeSpec &shape() const { return shape_; }
 
   private:
     ArrivalSpec arrivals_;

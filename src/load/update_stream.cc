@@ -33,14 +33,16 @@ UpdateStream::UpdateStream(const UpdateStreamSpec &spec,
     }
 }
 
-UpdateDesc
-UpdateStream::next()
+Tick
+UpdateStream::nextGap()
 {
-    Tick gap = std::max<Tick>(1,
-                              static_cast<Tick>(
-                                  std::llround(rng_.exponential(meanGapNs_))));
-    clock_ += gap;
+    return std::max<Tick>(
+        1, static_cast<Tick>(std::llround(rng_.exponential(meanGapNs_))));
+}
 
+UpdateDesc
+UpdateStream::nextRow()
+{
     // Weighted table pick: a uniform draw over the global row space,
     // mapped back through the prefix sums.
     std::uint64_t pick = rng_.uniformInt(cumRows_.back());
@@ -49,25 +51,7 @@ UpdateStream::next()
 
     RowId row = spec_.skew > 0.0 ? zipf_[table]->sample(rng_)
                                  : rng_.uniformInt(tableRows_[table]);
-
-    UpdateDesc out;
-    out.arrival = clock_;
-    out.tableIdx = table;
-    out.row = row;
-    out.seq = seq_++;
-    return out;
-}
-
-std::vector<UpdateDesc>
-UpdateStream::until(Tick horizon)
-{
-    std::vector<UpdateDesc> out;
-    for (;;) {
-        UpdateDesc d = next();
-        if (d.arrival > horizon)
-            return out;
-        out.push_back(d);
-    }
+    return UpdateDesc{table, row};
 }
 
 }  // namespace recssd

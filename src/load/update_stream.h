@@ -61,19 +61,18 @@ struct UpdateStreamSpec
 /** One generated row update. */
 struct UpdateDesc
 {
-    Tick arrival = 0;
     /** Index into the caller's table list (not the table id). */
     std::uint32_t tableIdx = 0;
     /** Table-local row to rewrite. */
     RowId row = 0;
-    /** Global sequence number (feeds the per-row version counter). */
-    std::uint64_t seq = 0;
 };
 
 /**
  * Deterministic generator for the stream: Poisson inter-arrivals at
  * `spec.rate`, table choice weighted by row count, row choice Zipf-
- * skewed (rank 0 hottest) or uniform.
+ * skewed (rank 0 hottest) or uniform. Update `i` arrives `nextGap()`
+ * after update `i - 1` (the first, after tick 0) and rewrites the
+ * `nextRow()` drawn right after that gap.
  */
 class UpdateStream
 {
@@ -82,13 +81,11 @@ class UpdateStream
     UpdateStream(const UpdateStreamSpec &spec,
                  std::vector<std::uint64_t> tableRows, std::uint64_t seed);
 
-    /** Generate the next update (strictly increasing arrivals). */
-    UpdateDesc next();
+    /** Next inter-arrival gap in ticks (>= 1). */
+    Tick nextGap();
 
-    /** Generate every update arriving at or before `horizon`. */
-    std::vector<UpdateDesc> until(Tick horizon);
-
-    const UpdateStreamSpec &spec() const { return spec_; }
+    /** Draw the next update's target row. */
+    UpdateDesc nextRow();
 
   private:
     UpdateStreamSpec spec_;
@@ -99,8 +96,6 @@ class UpdateStream
      *  same row count share one. */
     std::vector<std::shared_ptr<const ZipfSampler>> zipf_;
     double meanGapNs_;
-    Tick clock_ = 0;
-    std::uint64_t seq_ = 0;
 };
 
 }  // namespace recssd

@@ -15,6 +15,22 @@ HostController::HostController(EventQueue &eq, const NvmeParams &params,
 }
 
 void
+HostController::killNow()
+{
+    dead_ = true;
+    for (const auto &hook : deathHooks_)
+        if (hook)
+            hook();
+}
+
+std::size_t
+HostController::addDeathHook(std::function<void()> hook)
+{
+    deathHooks_.push_back(std::move(hook));
+    return deathHooks_.size() - 1;
+}
+
+void
 HostController::fetchCommand(std::uint32_t op, Step next)
 {
     if (dead_) {

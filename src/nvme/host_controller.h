@@ -121,9 +121,15 @@ class HostController
      * After `killNow()` the controller neither fetches new commands
      * nor posts completions: submissions and in-flight command chains
      * are silently swallowed (counted in `droppedCommands`), exactly
-     * what the host observes when a drive falls off the bus. */
-    void killNow() { dead_ = true; }
+     * what the host observes when a drive falls off the bus. The
+     * death hooks then run, in registration order, so the host can
+     * resolve the commands it will never see complete. */
+    void killNow();
     bool dead() const { return dead_; }
+    /** Register a death hook; @return its handle. */
+    std::size_t addDeathHook(std::function<void()> hook);
+    /** Unregister a hook (its owner is going away). */
+    void removeDeathHook(std::size_t handle) { deathHooks_.at(handle) = {}; }
     std::uint64_t droppedCommands() const { return dropped_.value(); }
     /** @} */
 
@@ -183,6 +189,7 @@ class HostController
     std::string trackName_;
     SerialResource ctrl_;
     bool dead_ = false;
+    std::vector<std::function<void()>> deathHooks_;
     RecordPool<Command> inflight_;
 
     Counter commands_;

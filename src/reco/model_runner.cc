@@ -147,6 +147,12 @@ ModelRunner::ModelRunner(System &sys, const ModelConfig &model,
         shardedBackend_->setDeviceProbe([this](unsigned d) {
             return !sys_.ssd(d).controller().dead();
         });
+        // A sub-op in flight when its device dies is resolved then,
+        // not lost with the device.
+        for (unsigned d = 0; d < sys_.numSsds(); ++d) {
+            deathHooks_.push_back(sys_.ssd(d).controller().addDeathHook(
+                [this, d]() { shardedBackend_->deviceDied(d); }));
+        }
     }
 
     // Dense layers.
@@ -159,6 +165,12 @@ ModelRunner::ModelRunner(System &sys, const ModelConfig &model,
         topMlp_ = std::make_unique<Mlp>(model_.topInputDim(), model_.topMlp,
                                         options_.seed + 13, true);
     }
+}
+
+ModelRunner::~ModelRunner()
+{
+    for (unsigned d = 0; d < deathHooks_.size(); ++d)
+        sys_.ssd(d).controller().removeDeathHook(deathHooks_[d]);
 }
 
 unsigned

@@ -100,6 +100,11 @@ class ModelRunner
   public:
     ModelRunner(System &sys, const ModelConfig &model,
                 const RunnerOptions &options);
+    /** Unregisters the death hooks, which hold `this`. */
+    ~ModelRunner();
+
+    ModelRunner(const ModelRunner &) = delete;
+    ModelRunner &operator=(const ModelRunner &) = delete;
 
     /** Execute one batch to completion. @return simulated latency. */
     Tick runBatch(unsigned batch_size);
@@ -190,6 +195,9 @@ class ModelRunner
     std::vector<std::unique_ptr<BaselineSsdSlsBackend>> baselineBackends_;
     std::vector<std::unique_ptr<NdpSlsBackend>> ndpBackends_;
     std::unique_ptr<ShardedSlsBackend> shardedBackend_;
+    /** Per device: the controller death hook that tells
+     *  `shardedBackend_` (empty without one). */
+    std::vector<std::size_t> deathHooks_;
 
     std::unique_ptr<Mlp> bottomMlp_;
     std::unique_ptr<Mlp> topMlp_;

@@ -1,6 +1,7 @@
 #include "src/reco/serving.h"
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -167,18 +168,21 @@ ServeStream::ServeStream(ModelRunner &runner, const ServeConfig &config,
       warmupQueries_(config.warmupQueries), latencySlo_(config.latencySlo)
 {
     recssd_assert(config.queries > 0, "nothing to measure");
+    const std::uint64_t total =
+        std::uint64_t{config.warmupQueries} + config.queries;
+    recssd_assert(total <= std::numeric_limits<unsigned>::max(),
+                  "%u warmup + %u measured queries overflow the query count",
+                  config.warmupQueries, config.queries);
     EventQueue &eq = runner.sys().eq();
-    const unsigned total = config.warmupQueries + config.queries;
 
     LoadGenerator gen(config.arrivals, config.shape, config.seed);
     gen.setTenant(tenant);
-    auto arrivals = std::make_shared<const std::vector<QueryDesc>>(
-        gen.schedule(total));
 
     // Shared ownership: the stat registry getters the harnesses
     // register may outlive the stream.
     if (config.slo.enabled)
         m_->mon = std::make_shared<SloMonitor>(config.slo);
+    Tick horizon = 0;
     if (config.updates.enabled()) {
         UpdateStreamSpec us = config.updates;
         us.tenant = tenant;
@@ -186,27 +190,32 @@ ServeStream::ServeStream(ModelRunner &runner, const ServeConfig &config,
             runner.sys(), runner.ssdTableDescs(), us, config.seed,
             runner.hostCache());
         updates_->setAdmission(std::move(admission));
+        // A dry pass over a copy of the generator finds the last
+        // arrival, which the update stream runs up to.
+        LoadGenerator dry = gen;
+        for (std::uint64_t i = 0; i < total; ++i) {
+            horizon += dry.nextGap();
+            dry.nextShape();
+        }
     }
 
     // Arrival ticks are relative to the start of the run; rebase on
     // the current clock so callers may warm the system up (prefill,
-    // profiling) before serving. The arrivals are one lazy series: the
-    // heap holds only the next one.
-    const Tick base = eq.now();
-    measureStart_ = base + (*arrivals)[config.warmupQueries].arrival;
-    std::vector<Tick> arrival_ticks;
-    arrival_ticks.reserve(total);
-    for (const QueryDesc &q : *arrivals)
-        arrival_ticks.push_back(base + q.arrival);
+    // profiling) before serving. The arrivals are one lazy series:
+    // each query draws its shape, then the gap to the next arrival.
     const unsigned warmup = config.warmupQueries;
+    const Tick first = eq.now() + gen.nextGap();
     eq.scheduleSeries(
-        std::move(arrival_ticks),
-        [submit = std::move(submit), arrivals, base, warmup,
-         m = m_](std::size_t idx) {
+        first, total,
+        [submit = std::move(submit), gen, arrival = first, warmup,
+         m = m_](std::size_t idx, Tick &next) mutable {
             const auto i = static_cast<unsigned>(idx);
-            const QueryDesc &q = (*arrivals)[i];
-            const Tick arrive = base + q.arrival;
-            submit(q.shape, [m, i, warmup, arrive](const QueryTimes &t) {
+            const QueryShape shape = gen.nextShape();
+            const Tick arrive = arrival;
+            next = arrival += gen.nextGap();
+            if (i == warmup)
+                m->measureStart = arrive;
+            submit(shape, [m, i, warmup, arrive](const QueryTimes &t) {
                 ++m->completed;
                 m->lastDone = t.complete;
                 if (i < warmup)
@@ -226,7 +235,7 @@ ServeStream::ServeStream(ModelRunner &runner, const ServeConfig &config,
     // arrival horizon, so write traffic races reads for NVMe queues,
     // firmware CPU, flash dies — and feeds GC.
     if (updates_)
-        updates_->scheduleUntil(arrivals->back().arrival);
+        updates_->scheduleUntil(horizon);
 }
 
 void
@@ -247,7 +256,8 @@ ServeStream::summarize(StreamStats &out) const
     out.meanServiceUs = m.service.meanUs();
     out.sloAttainment = m.latency.fractionWithin(latencySlo_);
     out.degradedQueries = m.degraded;
-    Tick span = m.lastDone > measureStart_ ? m.lastDone - measureStart_ : 1;
+    Tick span =
+        m.lastDone > m.measureStart ? m.lastDone - m.measureStart : 1;
     out.achievedQps = static_cast<double>(queries_) /
                       (static_cast<double>(span) / sec);
 

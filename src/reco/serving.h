@@ -305,11 +305,11 @@ struct ServeStats : StreamStats
 /**
  * One open-loop query stream, the core of both batched harnesses.
  * Constructing it schedules the stream on the runner's event queue:
- * `warmupQueries + queries` arrivals drawn from a `LoadGenerator`
- * seeded with `config.seed`, as one lazy series (rebased on the
- * current clock) that hands each query to `submit`; then, when
- * `config.updates` is on, an `UpdateFlusher` stream over the same
- * horizon. Completions of measured queries feed the latency,
+ * `warmupQueries + queries` arrivals drawn one at a time from a
+ * `LoadGenerator` seeded with `config.seed`, as one lazy series
+ * (rebased on the current clock) that hands each query to `submit`;
+ * then, when `config.updates` is on, an `UpdateFlusher` stream over
+ * the same horizon. Completions of measured queries feed the latency,
  * queueing and service recorders and the optional `SloMonitor`.
  *
  * `runServe` binds `submit` to `BatchScheduler::submit`;
@@ -337,7 +337,7 @@ class ServeStream
     void summarize(StreamStats &out) const;
 
     /** First measured arrival (the measurement window's start). */
-    Tick measureStart() const { return measureStart_; }
+    Tick measureStart() const { return m_->measureStart; }
     Tick lastDone() const { return m_->lastDone; }
     /** Null unless `config.slo` is enabled. */
     const std::shared_ptr<SloMonitor> &monitor() const { return m_->mon; }
@@ -356,6 +356,8 @@ class ServeStream
         LatencyRecorder service;
         unsigned completed = 0;
         unsigned degraded = 0;
+        /** Arrival of the first measured query. */
+        Tick measureStart = 0;
         Tick lastDone = 0;
         std::shared_ptr<SloMonitor> mon;
     };
@@ -365,7 +367,6 @@ class ServeStream
     unsigned queries_;
     unsigned warmupQueries_;
     Tick latencySlo_;
-    Tick measureStart_ = 0;
 };
 
 /**

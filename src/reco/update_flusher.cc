@@ -36,19 +36,23 @@ UpdateFlusher::scheduleUntil(Tick horizon)
     for (const EmbeddingTableDesc &t : tables_)
         rows.push_back(t.rows);
     UpdateStream stream(spec_, std::move(rows), spec_.seed);
+    // A dry pass over a copy of the stream counts the updates due by
+    // the horizon, which the series reserves up front.
+    std::uint64_t count = 0;
+    UpdateStream dry = stream;
+    for (Tick t = dry.nextGap(); t <= horizon; t += dry.nextGap(), ++count)
+        dry.nextRow();
     // Stream time is relative; rebase on the current clock so callers
-    // may warm the system up (prefill, profiling) before serving.
-    Tick base = sys_.eq().now();
-    auto updates =
-        std::make_shared<const std::vector<UpdateDesc>>(stream.until(horizon));
-    // One lazy series per call, so a second call adds a second stream.
-    std::vector<Tick> ticks;
-    ticks.reserve(updates->size());
-    for (const UpdateDesc &u : *updates)
-        ticks.push_back(base + u.arrival);
-    sys_.eq().scheduleSeries(std::move(ticks),
-                             [this, updates](std::size_t i) {
-                                 submit((*updates)[i]);
+    // may warm the system up (prefill, profiling) before serving. One
+    // lazy series per call, so a second call adds a second stream:
+    // each update draws its row, then the gap to the next one.
+    const Tick first = sys_.eq().now() + stream.nextGap();
+    sys_.eq().scheduleSeries(first, count,
+                             [this, stream = std::move(stream),
+                              at = first](std::size_t, Tick &next) mutable {
+                                 const UpdateDesc update = stream.nextRow();
+                                 next = at += stream.nextGap();
+                                 submit(update);
                              });
 }
 

@@ -53,10 +53,10 @@ class UpdateFlusher
                   HostEmbeddingCache *host_cache = nullptr);
 
     /**
-     * Generate the whole stream up to `horizon` and schedule each
-     * submit on the event queue at its arrival tick, as one lazy
-     * series (`EventQueue::scheduleSeries`). Each call schedules one
-     * more stream.
+     * Schedule a submit at the arrival tick of every update the stream
+     * generates up to `horizon`, as one lazy series
+     * (`EventQueue::scheduleSeries`) that draws each update as its
+     * predecessor fires. Each call schedules one more stream.
      */
     void scheduleUntil(Tick horizon);
 

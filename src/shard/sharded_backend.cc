@@ -15,9 +15,11 @@ struct ShardedSlsBackend::Sub
     std::vector<const EmbeddingTableDesc *> descs;
     /** Slice-local indices (valid against every candidate desc). */
     std::vector<std::vector<RowId>> indices;
-    unsigned next = 0;    ///< next candidate index to try
-    unsigned issues = 0;  ///< issues so far (>1 = hedged)
-    bool served = false;  ///< a result (or degraded fill) landed
+    unsigned next = 0;      ///< next candidate index to try
+    unsigned issues = 0;    ///< issues so far (>1 = hedged)
+    unsigned inflight = 0;  ///< issues neither answered nor lost
+    bool hedgeArmed = false;  ///< a hedge timer is pending
+    bool served = false;    ///< a result (or degraded fill) landed
 };
 
 /** Barrier state of one scattered operation. */
@@ -46,7 +48,7 @@ ShardedSlsBackend::ShardedSlsBackend(EventQueue &eq, HostCpu &cpu,
       config_(config), hostCache_(host_cache), hedge_(config.hedge),
       health_(router.numShards(), config.ejectAfterFailures,
               config.ejectCooldown),
-      shardLatency_(router.numShards()),
+      inflight_(router.numShards()), shardLatency_(router.numShards()),
       lateCompletions_(router.numShards(), 0)
 {
     recssd_assert(inner_.size() == router_.numShards(),
@@ -236,7 +238,7 @@ ShardedSlsBackend::issueSub(const std::shared_ptr<Gather> &op,
         ++sub->next;
     }
     if (sub->next >= sub->shards.size()) {
-        if (sub->issues == 0) {
+        if (sub->inflight == 0) {
             // Every candidate is gone and nothing is in flight:
             // degrade now rather than hang until the deadline.
             degradeSub(*op, *sub);
@@ -251,7 +253,9 @@ ShardedSlsBackend::issueSub(const std::shared_ptr<Gather> &op,
     unsigned idx = sub->next++;
     unsigned dev = sub->shards[idx];
     unsigned ord = sub->issues++;
-    ++issuesTotal_;
+    const std::uint64_t id = issuesTotal_++;
+    ++sub->inflight;
+    inflight_[dev].emplace(id, Issue{op, sub});
 
     // Lend the indices to the inner backend for the call: it reads
     // them before returning, and a hedge re-issue or a degraded fill
@@ -261,7 +265,11 @@ ShardedSlsBackend::issueSub(const std::shared_ptr<Gather> &op,
     s.indices = std::move(sub->indices);
     s.traceId = op->traceId;
     Tick issued = eq_.now();
-    inner_[dev]->run(s, [this, op, sub, dev, issued, ord](SlsResult r) {
+    inner_[dev]->run(s, [this, op, sub, dev, issued, ord, id](SlsResult r) {
+        // Not in the map: a completion already in transit when its
+        // device died, after deviceDied counted the issue lost.
+        if (inflight_[dev].erase(id) > 0)
+            --sub->inflight;
         Tick latency = eq_.now() - issued;
         shardLatency_[dev].record(latency);
         hedge_.observe(latency);
@@ -299,7 +307,9 @@ ShardedSlsBackend::issueSub(const std::shared_ptr<Gather> &op,
     // policy delay, charge a timeout against the device and re-issue
     // to the next untried healthy candidate.
     if (hedge_.active() && sub->next < sub->shards.size()) {
+        sub->hedgeArmed = true;
         eq_.scheduleAfter(hedge_.delay(), [this, op, sub, dev]() {
+            sub->hedgeArmed = false;
             if (sub->served || op->finished)
                 return;
             health_.recordTimeout(dev, eq_.now());
@@ -307,11 +317,32 @@ ShardedSlsBackend::issueSub(const std::shared_ptr<Gather> &op,
             while (probe < sub->shards.size() &&
                    !healthy(sub->shards[probe]))
                 ++probe;
-            if (probe >= sub->shards.size())
-                return;  // no one left to hedge to
+            if (probe >= sub->shards.size()) {
+                // No one left to hedge to. If the issue died with its
+                // device and no deadline will resolve the sub-op,
+                // degrade it now.
+                if (sub->inflight == 0 && config_.deadline == 0)
+                    issueSub(op, sub);
+                return;
+            }
             ++hedgesFired_;
             issueSub(op, sub);
         });
+    }
+}
+
+void
+ShardedSlsBackend::deviceDied(unsigned dev)
+{
+    std::map<std::uint64_t, Issue> lost = std::move(inflight_.at(dev));
+    inflight_[dev].clear();
+    for (auto &[id, issue] : lost) {
+        Sub &sub = *issue.sub;
+        --sub.inflight;
+        // A deadline, a pending hedge or another in-flight issue still
+        // resolves the sub-op; only one left with none is resolved here.
+        if (config_.deadline == 0 && !sub.hedgeArmed && sub.inflight == 0)
+            issueSub(issue.op, issue.sub);
     }
 }
 

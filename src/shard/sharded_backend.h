@@ -35,6 +35,11 @@
  *    or ejected degrades immediately instead of waiting for the
  *    deadline. With replication 1 that is any sub-op routed to a
  *    device the probe reports dead.
+ *  - **Lost issues**: a device that dies mid-run swallows the sub-ops
+ *    in flight on it (`deviceDied`). A deadline, a pending hedge or
+ *    another issue of the same sub-op still resolves each one as
+ *    before; a sub-op left with none fails over to its next healthy
+ *    candidate at once, or degrades at a dead end.
  *
  * Determinism: no randomness at all — candidate rotation is a
  * counter, hedge delays are functions of observed sim latencies, and
@@ -46,6 +51,7 @@
 #define RECSSD_SHARD_SHARDED_BACKEND_H
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -88,6 +94,13 @@ class ShardedSlsBackend : public SlsBackend
     {
         probe_ = std::move(probe);
     }
+
+    /**
+     * Device `dev` died: the sub-ops in flight on it will never
+     * answer. Resolve each that no deadline, pending hedge or other
+     * in-flight issue will: fail it over, or degrade it.
+     */
+    void deviceDied(unsigned dev);
 
     /** SlsBackend interface; drops the degraded flag. */
     void run(const SlsOp &op, Done done) override;
@@ -160,6 +173,15 @@ class ShardedSlsBackend : public SlsBackend
     std::function<bool(unsigned)> probe_;
     HedgePolicy hedge_;
     HealthTracker health_;
+
+    /** Issues in flight per device, keyed by issue number, so a
+     *  device's death finds the ones it swallowed, in issue order. */
+    struct Issue
+    {
+        std::shared_ptr<Gather> op;
+        std::shared_ptr<Sub> sub;
+    };
+    std::vector<std::map<std::uint64_t, Issue>> inflight_;
 
     std::vector<LatencyRecorder> shardLatency_;
     std::vector<std::uint64_t> lateCompletions_;

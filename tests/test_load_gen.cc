@@ -6,6 +6,7 @@
  */
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,6 +25,26 @@ struct GapMoments
     double mean;
     double cov;  ///< coefficient of variation (stddev / mean)
 };
+
+/** One generated query: when it arrives and what it asks for. */
+struct Query
+{
+    Tick arrival = 0;
+    QueryShape shape;
+};
+
+/** `count` queries, each a gap after the last, then its shape. */
+std::vector<Query>
+schedule(LoadGenerator &gen, unsigned count)
+{
+    std::vector<Query> out;
+    Tick now = 0;
+    for (unsigned i = 0; i < count; ++i) {
+        now += gen.nextGap();
+        out.push_back(Query{now, gen.nextShape()});
+    }
+    return out;
+}
 
 GapMoments
 momentsOf(LoadGenerator &gen, unsigned draws)
@@ -107,8 +128,8 @@ TEST(LoadGen, IdenticalSeedsReplayIdenticalStreams)
 
     LoadGenerator a(spec(ArrivalProcess::Bursty, 100.0), shape, 99);
     LoadGenerator b(spec(ArrivalProcess::Bursty, 100.0), shape, 99);
-    auto sa = a.schedule(500);
-    auto sb = b.schedule(500);
+    auto sa = schedule(a, 500);
+    auto sb = schedule(b, 500);
     ASSERT_EQ(sa.size(), sb.size());
     for (std::size_t i = 0; i < sa.size(); ++i) {
         EXPECT_EQ(sa[i].arrival, sb[i].arrival) << "query " << i;
@@ -119,7 +140,7 @@ TEST(LoadGen, IdenticalSeedsReplayIdenticalStreams)
     }
 
     LoadGenerator c(spec(ArrivalProcess::Bursty, 100.0), shape, 100);
-    auto sc = c.schedule(500);
+    auto sc = schedule(c, 500);
     bool differs = false;
     for (std::size_t i = 0; i < sc.size() && !differs; ++i)
         differs = sc[i].arrival != sa[i].arrival;

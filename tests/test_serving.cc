@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "src/reco/serving.h"
 #include "tests/test_helpers.h"
 
@@ -127,6 +130,106 @@ TEST(Serving, OneQueryPerDispatch)
     EXPECT_DOUBLE_EQ(stats.avgCoalescedSamples, 4.0);
     EXPECT_EQ(stats.completedQueries, 30u);
     EXPECT_EQ(stats.maxSchedulerDepth, 1u);
+}
+
+/**
+ * A stream draws its queries one at a time, as a lazy series. Each
+ * query must still reach the scheduler at the tick, and with the
+ * shape, that the whole schedule built up front gave it, rebased on
+ * the clock at construction; and the update stream must hold every
+ * update that arrives by the last query, as when it was built up to
+ * that horizon before the run.
+ */
+TEST(Serving, StreamSubmitsTheEagerArrivalSchedule)
+{
+    System sys(test::smallSystem());
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::BaselineSsd;
+    opt.forceAllTablesOnSsd = true;
+    ModelRunner runner(sys, tinyModel(), opt);
+    // Start the stream off tick 0 so the rebase shows.
+    const Tick base = 777;
+    sys.eq().schedule(base, []() {});
+    sys.eq().run();
+
+    ServeConfig cfg = openLoop(300.0, 50, 5, 4);
+    cfg.arrivals.process = ArrivalProcess::Bursty;
+    cfg.shape.maxBatch = 12;
+    cfg.shape.minTables = 1;
+    cfg.shape.maxTables = 2;
+    cfg.shape.minPoolingScale = 0.5;
+    cfg.shape.maxPoolingScale = 1.5;
+    cfg.seed = 77;
+    cfg.updates.rate = 2000.0;
+    cfg.updates.skew = 0.5;
+
+    std::vector<std::pair<Tick, QueryShape>> got;
+    ServeStream stream(
+        runner, cfg,
+        [&](const QueryShape &shape, BatchScheduler::QueryDone done) {
+            const Tick now = sys.eq().now();
+            got.emplace_back(now, shape);
+            done(QueryTimes{now, now, now + 1, false});
+        });
+    sys.eq().run();
+
+    // Reference: the arrival schedule as it was built before the run
+    // (every gap drawn, each followed by its query's shape).
+    LoadGenerator gen(cfg.arrivals, cfg.shape, cfg.seed);
+    std::vector<std::pair<Tick, QueryShape>> want;
+    Tick clock = 0;
+    for (unsigned i = 0; i < 55; ++i) {
+        clock += gen.nextGap();
+        want.emplace_back(clock, gen.nextShape());
+    }
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].first, base + want[i].first) << "query " << i;
+        EXPECT_EQ(got[i].second.batchSize, want[i].second.batchSize);
+        EXPECT_EQ(got[i].second.tablesTouched,
+                  want[i].second.tablesTouched);
+        EXPECT_EQ(got[i].second.poolingScale, want[i].second.poolingScale);
+    }
+    EXPECT_EQ(stream.measureStart(), base + want[5].first);
+
+    // Reference: the update stream as it was built up to the last
+    // arrival before the run.
+    std::vector<std::uint64_t> rows;
+    for (const EmbeddingTableDesc &t : runner.ssdTableDescs())
+        rows.push_back(t.rows);
+    UpdateStreamSpec us = cfg.updates;
+    us.seed = cfg.seed * 0x9e3779b97f4a7c15ull + us.seed;
+    UpdateStream updates(us, rows, us.seed);
+    std::uint64_t due = 0;
+    for (Tick t = updates.nextGap(); t <= want.back().first;
+         t += updates.nextGap()) {
+        updates.nextRow();
+        ++due;
+    }
+    EXPECT_GT(due, 10u);
+    EXPECT_EQ(stream.updates()->submitted(), due);
+
+    StreamStats st;
+    stream.summarize(st);
+    EXPECT_EQ(st.completedQueries, 50u);
+}
+
+TEST(ServingDeathTest, RejectsQueryCountOverflow)
+{
+    // Warmup plus measured queries must fit the unsigned query count
+    // (a tenant's `queries=` reaches the stream unchecked otherwise).
+    EXPECT_DEATH(
+        {
+            System sys(test::smallSystem());
+            RunnerOptions opt;
+            opt.backend = EmbeddingBackendKind::Dram;
+            ModelRunner runner(sys, tinyModel(), opt);
+            ServeConfig cfg = openLoop(100.0, 4294967295u, 1, 4);
+            ServeStream stream(
+                runner, cfg,
+                [](const QueryShape &, BatchScheduler::QueryDone) {});
+        },
+        "1 warmup \\+ 4294967295 measured queries overflow");
 }
 
 }  // namespace

@@ -19,13 +19,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "src/embedding/ndp_backend.h"
 #include "src/embedding/synthetic_values.h"
+#include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
 #include "src/resil/health.h"
 #include "src/resil/hedge.h"
@@ -187,6 +191,181 @@ TEST(FaultPlanParse, AcceptsRandomIndexAndLargestSeed)
     EXPECT_EQ(plan.scenarios[0].device, 2u);
     EXPECT_EQ(plan.scenarios[0].channel, -1);
     EXPECT_EQ(plan.scenarios[0].die, -1);
+}
+
+TEST(FaultPlanParseDeathTest, RejectsJitterBeyondPeriod)
+{
+    // Jitter draws from [0, jitter): above the period, an occurrence
+    // could start before its predecessor.
+    EXPECT_DEATH(FaultPlan::parse("stall@0:count=3,period=1ms,jitter=2ms"),
+                 "fault plan: jitter exceeds period");
+    EXPECT_DEATH(
+        FaultPlan::parse("stall@0:count=4294967295,period=5000000s"),
+        "fault plan: occurrences overflow the clock");
+    FaultPlan ok = FaultPlan::parse(
+        "stall@0:count=3,period=1ms,jitter=1ms;stall@0:jitter=5ms");
+    EXPECT_EQ(ok.scenarios[0].jitter, 1 * msec);
+    EXPECT_EQ(ok.scenarios[1].jitter, 5 * msec);
+}
+
+/** Sets RECSSD_AUDIT for its lifetime (queues read it at construction). */
+class ScopedAudit
+{
+  public:
+    ScopedAudit() { ::setenv("RECSSD_AUDIT", "1", 1); }
+    ~ScopedAudit() { ::unsetenv("RECSSD_AUDIT"); }
+    ScopedAudit(const ScopedAudit &) = delete;
+    ScopedAudit &operator=(const ScopedAudit &) = delete;
+};
+
+/** One popped event: a fault firing (its scenario and target die) or,
+ *  with scenario -1, an ordinary event tied with the faults' ticks. */
+struct Firing
+{
+    Tick when;
+    std::uint64_t seq;
+    int scenario;
+    unsigned ch;
+    unsigned die;
+    bool operator==(const Firing &) const = default;
+};
+
+/**
+ * Reference: the injector's arming before occurrences became lazy
+ * series. Every occurrence is drawn from one Rng, in scenario-then-
+ * occurrence order, and scheduled up front; each firing acts as the
+ * injector's does (stall or firmware pause on device 0).
+ */
+void
+armEagerly(System &sys, const DeviceFaultConfig &cfg,
+           std::vector<Firing> &out)
+{
+    Rng rng(cfg.seed);
+    const auto &fp = sys.ssd(0).flash().params();
+    for (int k = 0; k < static_cast<int>(cfg.scenarios.size()); ++k) {
+        const FaultScenario s = cfg.scenarios[k];
+        for (unsigned i = 0; i < s.count; ++i) {
+            Tick start = s.at + static_cast<Tick>(i) * s.period;
+            if (s.jitter > 0)
+                start += rng.uniformInt(s.jitter);
+            unsigned ch = 0, die = 0;
+            if (s.kind == FaultKind::DieStall) {
+                ch = s.channel >= 0 ? static_cast<unsigned>(s.channel)
+                                    : static_cast<unsigned>(
+                                          rng.uniformInt(fp.numChannels));
+                die = s.die >= 0 ? static_cast<unsigned>(s.die)
+                                 : static_cast<unsigned>(
+                                       rng.uniformInt(fp.diesPerChannel));
+            }
+            sys.eq().schedule(start, [&sys, &out, s, k, ch, die]() {
+                out.push_back({sys.eq().now(), sys.eq().auditLastSeq(), k,
+                               ch, die});
+                if (s.kind == FaultKind::DieStall)
+                    sys.ssd(0).flash().stallDie(ch, die, s.duration);
+                else
+                    sys.ssd(0).ftl().injectFirmwarePause(s.duration);
+            });
+        }
+    }
+}
+
+/** Ordinary events on the fault period grid, scheduled after arming. */
+void
+scheduleGrid(System &sys, std::vector<Firing> &out)
+{
+    for (unsigned k = 1; k <= 40; ++k) {
+        sys.eq().schedule(k * msec, [&sys, &out]() {
+            out.push_back({sys.eq().now(), sys.eq().auditLastSeq(), -1, 0, 0});
+        });
+    }
+}
+
+/**
+ * The lazy fault series pop exactly as eager arming did: same (when,
+ * seq) keys, same scenario order on tied ticks, same die draws. Three
+ * scenarios on one device: two drawing stalls (random ch and die, a
+ * few ns of jitter so occurrences tie with the period grid) around a
+ * firmware pause that draws nothing, plus ordinary events on the
+ * grid. The stalls' durations tell them apart on the lazy side, where
+ * a firing shows as a die's busy horizon moving.
+ */
+TEST(FaultInjectorSeries, PopTraceMatchesEagerArming)
+{
+    ScopedAudit audit;
+    const std::string plan =
+        "seed=5;"
+        "stall@0:at=1ms,dur=300us,period=1ms,jitter=3ns,count=40,"
+        "ch=-1,die=-1;"
+        "fwpause@0:at=1ms,dur=50us,period=2ms,count=20;"
+        "stall@0:at=2ms,dur=700us,period=1ms,jitter=2ns,count=30,die=-1";
+    SystemConfig cfg = test::smallSystem();
+    applyFaultPlan(cfg, FaultPlan::parse(plan));
+    const DeviceFaultConfig faults = cfg.perSsd.at(0).faults;
+    ASSERT_EQ(faults.scenarios.size(), 3u);
+
+    std::vector<Firing> want;
+    {
+        SystemConfig plain = test::smallSystem();
+        System sys(plain);
+        armEagerly(sys, faults, want);
+        scheduleGrid(sys, want);
+        sys.run();
+    }
+
+    std::vector<Firing> got;
+    System sys(cfg);
+    scheduleGrid(sys, got);
+    FaultInjector &inj = *sys.ssd(0).faultInjector();
+    FlashArray &flash = sys.ssd(0).flash();
+    const auto &fp = flash.params();
+    // Nothing else touches the channels, so a die's page backlog is its
+    // busy horizon.
+    auto die_free = [&](unsigned c, unsigned d) {
+        return flash.backlogFor(FlashAddress::encode(c, d, 0, 0, fp));
+    };
+    std::vector<Tick> free_at(fp.numChannels * fp.diesPerChannel);
+    while (true) {
+        for (unsigned c = 0; c < fp.numChannels; ++c)
+            for (unsigned d = 0; d < fp.diesPerChannel; ++d)
+                free_at[c * fp.diesPerChannel + d] = die_free(c, d);
+        const std::uint64_t stalls = inj.dieStalls();
+        const std::uint64_t pauses = inj.firmwarePauses();
+        if (!sys.eq().runOne())
+            break;
+        const Tick now = sys.eq().now();
+        if (inj.firmwarePauses() > pauses) {
+            got.push_back({now, sys.eq().auditLastSeq(), 1, 0, 0});
+            continue;
+        }
+        if (inj.dieStalls() == stalls)
+            continue;
+        for (unsigned c = 0; c < fp.numChannels; ++c) {
+            for (unsigned d = 0; d < fp.diesPerChannel; ++d) {
+                Tick before = free_at[c * fp.diesPerChannel + d];
+                Tick after = die_free(c, d);
+                if (after == before)
+                    continue;
+                Tick dur = after - std::max(now, before);
+                got.push_back({now, sys.eq().auditLastSeq(),
+                               dur == 300 * usec ? 0 : 2, c, d});
+            }
+        }
+    }
+
+    ASSERT_EQ(got.size(), 40u + 20u + 30u + 40u);
+    EXPECT_EQ(got, want);
+    // The trace must exercise what the series could get wrong: fault
+    // occurrences tied on a tick with each other and with the grid,
+    // and more than one die drawn.
+    unsigned ties = 0;
+    std::set<unsigned> dies;
+    for (std::size_t i = 1; i < want.size(); ++i)
+        ties += want[i].when == want[i - 1].when;
+    for (const Firing &f : want)
+        if (f.scenario == 0)
+            dies.insert(f.ch * fp.diesPerChannel + f.die);
+    EXPECT_GT(ties, 20u);
+    EXPECT_GT(dies.size(), 1u);
 }
 
 TEST(HealthTrackerUnit, EjectsCoolsDownAndRestores)
@@ -550,6 +729,55 @@ TEST(TailTolerance, DropoutWithoutResilienceDegradesInsteadOfLosingQueries)
     EXPECT_EQ(ssd3_commands, 0u);
     EXPECT_EQ(s.perDevice[3].subOps, 0u);
     EXPECT_EQ(s.ejectedDevices, std::vector<unsigned>{3});
+}
+
+/**
+ * A device that dies mid-run swallows the sub-ops in flight on it. With
+ * no deadline or hedge to resolve them, they used to hang and the serve
+ * lost their queries ("serving path lost queries: 43 of 44
+ * completed"). Now each degrades when the device dies, and the sub-ops
+ * issued after it degrade at issue, as with a dropout at t=0.
+ */
+TEST(TailTolerance, MidRunDropoutResolvesInFlightSubOps)
+{
+    SystemConfig cfg = test::smallSystem();
+    cfg.shard.numShards = 4;
+    cfg.shard.policy = ShardPolicy::RowRange;
+    cfg.host.ioQueues = 4;
+    cfg.ssd.nvme.numQueues = 4;
+    cfg.host.balancedQueueGrants = true;
+    applyFaultPlan(cfg, FaultPlan::parse("dropout@3:at=200ms"));
+    System sys(cfg);
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::Ndp;
+    opt.forceAllTablesOnSsd = true;
+    opt.seed = 13;
+    ModelRunner runner(sys, modelByName("RM1"), opt);
+
+    // recssd_sim --serve --model RM1 --backend ndp --all-ssd --num-ssds 4
+    //   --shard-policy range --fault-plan 'dropout@3:at=200ms'
+    //   --queries 40 --qps 20 --seed 13
+    ServeConfig scfg;
+    scfg.arrivals.qps = 20.0;
+    scfg.shape.minBatch = 16;
+    scfg.shape.maxBatch = 16;
+    scfg.batching.maxBatchSamples = 64;
+    scfg.batching.maxWait = 500 * usec;
+    scfg.batching.maxInFlight = 4;
+    scfg.queries = 40;
+    scfg.warmupQueries = 4;
+    scfg.seed = 13;
+    ServeStats s = runServe(runner, scfg);
+
+    EXPECT_EQ(s.completedQueries, 40u);
+    EXPECT_GT(s.degradedQueries, 0u);
+    EXPECT_EQ(s.ejectedDevices, std::vector<unsigned>{3});
+    ASSERT_EQ(s.perDevice.size(), 4u);
+    EXPECT_GT(s.perDevice[3].subOps, 0u) << "ssd3 served before dying";
+    const ShardedSlsBackend &b = *runner.shardedBackend();
+    EXPECT_LT(b.completionsTotal(), b.issuesTotal())
+        << "some sub-op must have been in flight when ssd3 died";
+    EXPECT_EQ(b.deadlineMisses(), 0u);
 }
 
 /**

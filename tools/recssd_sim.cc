@@ -138,7 +138,11 @@ const Flag kFlags[] = {
     {"--trace", "uniform|k|seq|str|zipf", Common, &Options::trace, 0, 0,
      kChoice},
     {"--k", "V", Common, &Options::k},  // locality K for --trace k
-    {"--batch", "N", Common, &Options::batch, 1},
+    // Samples per batch, at most 64x the largest batch the paper's
+    // figures sweep (256): an RM2 batch then holds ~6.3e7 lookups
+    // (~1.2 GB), and 4x batch, the default --max-batch, stays far
+    // inside an unsigned.
+    {"--batch", "N", Common, &Options::batch, 1, 16384},
     {"--batches", "N", Common, &Options::batches, 1},  // measured
     {"--warmup", "N", Common, &Options::warmup},  // unmeasured batches
     {"--host-cache", nullptr, Common, &Options::host_cache},  // base: LRU
@@ -171,7 +175,9 @@ const Flag kFlags[] = {
     {"--arrival", "poisson|fixed|bursty", Serve, &Options::arrival, 0, 0,
      kChoice},
     {"--burst", "B", Serve, &Options::burst, 1.0},  // bursty factor
-    {"--queries", "N", Serve, &Options::queries},  // measured
+    // Measured queries; with the max(1, N/10) warmup queries added,
+    // the largest N whose total still fits an unsigned.
+    {"--queries", "N", Serve, &Options::queries, 0, 3904515723},
     {"--max-batch", "N", Serve, &Options::max_batch},  // fused samples
     {"--max-wait-us", "N", Serve, &Options::max_wait_us},  // timeout
     {"--max-inflight", "N", Serve, &Options::max_inflight, 1},
