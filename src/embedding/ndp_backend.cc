@@ -119,8 +119,7 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
             [this, state, q, base, req, finish]() {
                 driver_.slsResultRead(
                     q, base, req,
-                    [this, state, q, finish](
-                        std::shared_ptr<std::vector<std::byte>> bytes) {
+                    [this, state, q, finish](DataStore::Page bytes) {
                         queues_.release(q);
                         // Unpack the device's partial sums.
                         std::size_t raw =

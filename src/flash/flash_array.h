@@ -98,14 +98,6 @@ class FlashArray
     void writePage(Ppn ppn, DataStore::Page data, DoneCallback done,
                    std::uint64_t trace_id = 0) RECSSD_DEFERS_CALLBACK;
 
-    /** As above, copying the bytes into a fresh page buffer. */
-    void writePage(Ppn ppn, std::span<const std::byte> data,
-                   DoneCallback done, std::uint64_t trace_id = 0)
-        RECSSD_DEFERS_CALLBACK
-    {
-        writePage(ppn, store_.makePage(data), std::move(done), trace_id);
-    }
-
     /** Erase a whole block (identified by any PPN inside it). */
     void eraseBlock(Ppn any_ppn_in_block, DoneCallback done)
         RECSSD_DEFERS_CALLBACK;

@@ -21,9 +21,9 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <vector>
 
+#include "src/common/inline_function.h"
 #include "src/common/logging.h"
 
 namespace recssd
@@ -32,7 +32,7 @@ namespace recssd
 class QueueAllocator
 {
   public:
-    using Grant = std::function<void(unsigned queue)>;
+    using Grant = InlineFunction<void(unsigned queue)>;
 
     enum class Policy
     {

@@ -22,6 +22,21 @@ endSpan(EventQueue &eq, SpanId span)
         tracer->end(span);
 }
 
+/** The trace name of a command's residence on its queue. */
+const char *
+spanName(const NvmeCommand &cmd)
+{
+    switch (cmd.opcode) {
+      case NvmeOpcode::Read:
+        return cmd.slsFlag ? "sls_result" : "read";
+      case NvmeOpcode::Write:
+        return cmd.slsFlag ? "sls_config" : "write";
+      case NvmeOpcode::Dsm:
+        return "trim";
+    }
+    return "";
+}
+
 }  // namespace
 
 UnvmeDriver::UnvmeDriver(EventQueue &eq, HostCpu &cpu, HostController &ctrl,
@@ -114,163 +129,135 @@ UnvmeDriver::allocRequestId()
     return id;
 }
 
-void
-UnvmeDriver::readPage(unsigned queue, Lpn lpn, ReadDone done,
-                      std::uint64_t trace_id)
+std::uint32_t
+UnvmeDriver::open(unsigned queue, NvmeOpcode opcode, std::uint64_t slba,
+                  std::uint64_t trace_id)
 {
     occupy(queue);
     commands_.inc();
-    ReadCmd read;
-    read.cmd.opcode = NvmeOpcode::Read;
-    read.cmd.slba = lpn;
-    read.cmd.traceId = trace_id;
-    read.queue = queue;
-    read.done = std::move(done);
+    std::uint32_t op = inflight_.put(Command{});
+    Command &c = inflight_[op];
+    c.nvme.opcode = opcode;
+    c.nvme.slba = slba;
+    c.nvme.traceId = trace_id;
+    c.queue = queue;
+    return op;
+}
+
+void
+UnvmeDriver::issue(std::uint32_t op, Tick submit_cost)
+{
+    Command &c = inflight_[op];
     // Observability: the outer span is the command's full residence on
     // this queue (submit CPU -> device -> completion poll); the inner
     // submit/poll spans mark the io-thread occupancy at each end.
     if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        read.devSpan =
-            tracer->begin(track, "read", Phase::DeviceWait, trace_id);
-        read.span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
+        TrackId track = tracer->track(queueTrackNames_[c.queue]);
+        c.devSpan = tracer->begin(track, spanName(c.nvme), Phase::DeviceWait,
+                                  c.nvme.traceId);
+        c.span = tracer->begin(track, "submit", Phase::DriverSubmit,
+                               c.nvme.traceId);
     }
     // Submission burns host CPU, then the device takes over; on
     // completion the polling thread burns CPU again before the
     // caller's continuation runs.
-    std::uint32_t op = reads_.put(std::move(read));
-    ioThread(queue).acquire(cpu_.params().submitCost,
-                            [this, op]() { submitRead(op); });
+    ioThread(c.queue).acquire(submit_cost, [this, op]() { submit(op); });
 }
 
 void
-UnvmeDriver::submitRead(std::uint32_t op)
+UnvmeDriver::submit(std::uint32_t op)
 {
-    ReadCmd &read = reads_[op];
-    endSpan(eq_, read.span);
-    NvmeCommand entry = enqueue(read.queue, read.cmd);
-    read.cid = entry.cid;
-    ctrl_.submitRead(entry, [this, op](const PageView &view) {
-        ReadCmd &read = reads_[op];
-        read.view = view;
-        read.span = invalidSpan;
-        if (Tracer *tracer = tracerOf(eq_)) {
-            read.span =
-                tracer->begin(tracer->track(queueTrackNames_[read.queue]),
-                              "poll", Phase::DriverSubmit, read.cmd.traceId);
+    Command &c = inflight_[op];
+    endSpan(eq_, c.span);
+    NvmeCommand entry = enqueue(c.queue, c.nvme);
+    c.cid = entry.cid;
+    auto polled = [this, op]() { poll(op); };
+    switch (entry.opcode) {
+      case NvmeOpcode::Read:
+        if (entry.slsFlag) {
+            ctrl_.submitSlsRead(entry, [this, op](DataStore::Page bytes) {
+                inflight_[op].nvme.payload = std::move(bytes);
+                poll(op);
+            });
+        } else {
+            ctrl_.submitRead(entry, [this, op](const PageView &view) {
+                inflight_[op].view = view;
+                poll(op);
+            });
         }
-        ioThread(read.queue).acquire(cpu_.params().completionCost,
-                                     [this, op]() { finishRead(op); });
-    });
+        break;
+      case NvmeOpcode::Write:
+        if (entry.slsFlag)
+            ctrl_.submitSlsConfig(entry, polled);
+        else
+            ctrl_.submitWrite(entry, polled);
+        break;
+      case NvmeOpcode::Dsm:
+        ctrl_.submitTrim(entry, polled);
+        break;
+    }
 }
 
 void
-UnvmeDriver::finishRead(std::uint32_t op)
+UnvmeDriver::poll(std::uint32_t op)
 {
-    ReadCmd read = reads_.take(op);
-    // The view binds a physical page the FTL resolved (and fenced) at
-    // service time; log-structured writes allocate fresh ppns, so the
-    // bytes under an outstanding view never change across the driver's
-    // completion-poll delay.
-    RECSSD_DEFERRED_SAFE("view pins an immutable physical page");
-    endSpan(eq_, read.span);
-    consumeCompletion(read.queue, read.cid);
-    release(read.queue);
-    endSpan(eq_, read.devSpan);
-    read.done(read.view);
+    Command &c = inflight_[op];
+    c.span = invalidSpan;
+    if (Tracer *tracer = tracerOf(eq_)) {
+        c.span = tracer->begin(tracer->track(queueTrackNames_[c.queue]),
+                               "poll", Phase::DriverSubmit, c.nvme.traceId);
+    }
+    ioThread(c.queue).acquire(cpu_.params().completionCost,
+                              [this, op]() { finish(op); });
 }
 
 void
-UnvmeDriver::writePage(unsigned queue, Lpn lpn,
-                       std::shared_ptr<const std::vector<std::byte>> data,
+UnvmeDriver::finish(std::uint32_t op)
+{
+    Command c = inflight_.take(op);
+    // A read's view binds a physical page the FTL resolved (and
+    // fenced) at service time; log-structured writes allocate fresh
+    // ppns, so the bytes under an outstanding view never change across
+    // the driver's completion-poll delay.
+    RECSSD_DEFERRED_SAFE("view pins an immutable physical page");
+    endSpan(eq_, c.span);
+    consumeCompletion(c.queue, c.cid);
+    release(c.queue);
+    endSpan(eq_, c.devSpan);
+    if (auto *read = std::get_if<ReadDone>(&c.done))
+        (*read)(c.view);
+    else if (auto *result = std::get_if<SlsResultDone>(&c.done))
+        (*result)(std::move(c.nvme.payload));
+    else if (const Done &done = std::get<Done>(c.done))
+        done();
+}
+
+void
+UnvmeDriver::readPage(unsigned queue, Lpn lpn, ReadDone done,
+                      std::uint64_t trace_id)
+{
+    std::uint32_t op = open(queue, NvmeOpcode::Read, lpn, trace_id);
+    inflight_[op].done = std::move(done);
+    issue(op, cpu_.params().submitCost);
+}
+
+void
+UnvmeDriver::writePage(unsigned queue, Lpn lpn, DataStore::Page data,
                        Done done, std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Write;
-    cmd.slba = lpn;
-    cmd.payload = std::move(data);
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "write", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitWrite(entry, [this, queue, cid = entry.cid, dev_span,
-                                      trace_id, done = std::move(done)]() {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done();
-                    });
-            });
-        });
+    std::uint32_t op = open(queue, NvmeOpcode::Write, lpn, trace_id);
+    inflight_[op].nvme.payload = std::move(data);
+    inflight_[op].done = std::move(done);
+    issue(op, cpu_.params().submitCost);
 }
 
 void
 UnvmeDriver::trimPage(unsigned queue, Lpn lpn, Done done,
                       std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Dsm;
-    cmd.slba = lpn;
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span = tracer->begin(track, "trim", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitTrim(entry, [this, queue, cid = entry.cid, dev_span,
-                                     trace_id, done = std::move(done)]() {
-                SpanId poll_span = invalidSpan;
-                if (Tracer *tracer = tracerOf(eq_)) {
-                    poll_span =
-                        tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                      "poll", Phase::DriverSubmit, trace_id);
-                }
-                ioThread(queue).acquire(
-                    cpu_.params().completionCost,
-                    [this, queue, cid, dev_span, poll_span,
-                     done = std::move(done)]() {
-                        endSpan(eq_, poll_span);
-                        consumeCompletion(queue, cid);
-                        release(queue);
-                        endSpan(eq_, dev_span);
-                        done();
-                    });
-            });
-        });
+    std::uint32_t op = open(queue, NvmeOpcode::Dsm, lpn, trace_id);
+    inflight_[op].done = std::move(done);
+    issue(op, cpu_.params().submitCost);
 }
 
 void
@@ -283,52 +270,18 @@ UnvmeDriver::slsConfigWrite(unsigned queue, Lpn table_base,
                   "embedding table base must be aligned");
     recssd_assert(request_id > 0 && request_id < slsTableAlign,
                   "SLS request id out of range");
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Write;
-    cmd.slsFlag = true;
-    cmd.slba = SlsAddress::encode(table_base, request_id);
-    cmd.payload = std::make_shared<std::vector<std::byte>>(
-        config.serialize());
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span =
-            tracer->begin(track, "sls_config", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
+    std::uint32_t op =
+        open(queue, NvmeOpcode::Write,
+             SlsAddress::encode(table_base, request_id), trace_id);
+    Command &c = inflight_[op];
+    c.nvme.slsFlag = true;
+    c.nvme.payload =
+        std::make_shared<const std::vector<std::byte>>(config.serialize());
+    c.done = std::move(done);
     // Building the pair list costs more than a plain 64B command:
     // charge the submit cost plus a store per pair.
-    Tick build = cpu_.params().submitCost +
-                 static_cast<Tick>(config.pairs.size()) * 2;
-    ioThread(queue).acquire(build, [this, cmd, queue, dev_span, submit_span,
-                                    trace_id, done = std::move(done)]() {
-        endSpan(eq_, submit_span);
-        NvmeCommand entry = enqueue(queue, cmd);
-        ctrl_.submitSlsConfig(entry, [this, queue, cid = entry.cid, dev_span,
-                                      trace_id, done = std::move(done)]() {
-            SpanId poll_span = invalidSpan;
-            if (Tracer *tracer = tracerOf(eq_)) {
-                poll_span =
-                    tracer->begin(tracer->track(queueTrackNames_[queue]),
-                                  "poll", Phase::DriverSubmit, trace_id);
-            }
-            ioThread(queue).acquire(
-                cpu_.params().completionCost,
-                [this, queue, cid, dev_span, poll_span,
-                 done = std::move(done)]() {
-                    endSpan(eq_, poll_span);
-                    consumeCompletion(queue, cid);
-                    release(queue);
-                    endSpan(eq_, dev_span);
-                    done();
-                });
-        });
-    });
+    issue(op, cpu_.params().submitCost +
+                  static_cast<Tick>(config.pairs.size()) * 2);
 }
 
 void
@@ -336,49 +289,12 @@ UnvmeDriver::slsResultRead(unsigned queue, Lpn table_base,
                            std::uint64_t request_id, SlsResultDone done,
                            std::uint64_t trace_id)
 {
-    occupy(queue);
-    commands_.inc();
-    NvmeCommand cmd;
-    cmd.opcode = NvmeOpcode::Read;
-    cmd.slsFlag = true;
-    cmd.slba = SlsAddress::encode(table_base, request_id);
-    cmd.traceId = trace_id;
-    SpanId dev_span = invalidSpan;
-    SpanId submit_span = invalidSpan;
-    if (Tracer *tracer = tracerOf(eq_)) {
-        TrackId track = tracer->track(queueTrackNames_[queue]);
-        dev_span =
-            tracer->begin(track, "sls_result", Phase::DeviceWait, trace_id);
-        submit_span =
-            tracer->begin(track, "submit", Phase::DriverSubmit, trace_id);
-    }
-    ioThread(queue).acquire(
-        cpu_.params().submitCost, [this, cmd, queue, dev_span, submit_span,
-                                   trace_id, done = std::move(done)]() {
-            endSpan(eq_, submit_span);
-            NvmeCommand entry = enqueue(queue, cmd);
-            ctrl_.submitSlsRead(
-                entry, [this, queue, cid = entry.cid, dev_span, trace_id,
-                        done = std::move(done)](
-                           std::shared_ptr<std::vector<std::byte>> data) {
-                    SpanId poll_span = invalidSpan;
-                    if (Tracer *tracer = tracerOf(eq_)) {
-                        poll_span = tracer->begin(
-                            tracer->track(queueTrackNames_[queue]), "poll",
-                            Phase::DriverSubmit, trace_id);
-                    }
-                    ioThread(queue).acquire(
-                        cpu_.params().completionCost,
-                        [this, queue, cid, data, dev_span, poll_span,
-                         done = std::move(done)]() {
-                            endSpan(eq_, poll_span);
-                            consumeCompletion(queue, cid);
-                            release(queue);
-                            endSpan(eq_, dev_span);
-                            done(data);
-                        });
-                });
-        });
+    std::uint32_t op =
+        open(queue, NvmeOpcode::Read,
+             SlsAddress::encode(table_base, request_id), trace_id);
+    inflight_[op].nvme.slsFlag = true;
+    inflight_[op].done = std::move(done);
+    issue(op, cpu_.params().submitCost);
 }
 
 }  // namespace recssd

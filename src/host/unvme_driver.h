@@ -8,7 +8,11 @@
  * worker burns CPU to build/submit, the device executes, and the
  * worker burns CPU again polling the completion. The SLS extension
  * adds a config-write and a result-read built on the standard command
- * structures with the spare flag bit set.
+ * structures with the spare flag bit set, so all five commands (read,
+ * write, trim, SLS config, SLS result) run one chain through one
+ * per-command record. They differ only in the span name, the submit
+ * cost (an SLS config also pays per pair) and the controller entry
+ * point.
  *
  * Each queue is driven by its own SLS worker thread (§4.2 matches
  * workers to queues). The threads are I/O bound — they sleep in the
@@ -22,9 +26,9 @@
 #define RECSSD_HOST_UNVME_DRIVER_H
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/event_queue.h"
@@ -43,9 +47,8 @@ class UnvmeDriver
 {
   public:
     using ReadDone = InlineFunction<void(const PageView &)>;
-    using Done = std::function<void()>;
-    using SlsResultDone =
-        std::function<void(std::shared_ptr<std::vector<std::byte>>)>;
+    using Done = InlineFunction<void()>;
+    using SlsResultDone = HostController::SlsReadDone;
 
     /** `track_prefix` namespaces the per-queue trace tracks (multi-
      *  SSD systems pass "ssd<d>." so device spans stay separable). */
@@ -68,9 +71,8 @@ class UnvmeDriver
                   std::uint64_t trace_id = 0);
     /** Write one logical page. `data` becomes the stored flash page
      *  by reference, so the caller must not change it afterwards. */
-    void writePage(unsigned queue, Lpn lpn,
-                   std::shared_ptr<const std::vector<std::byte>> data,
-                   Done done, std::uint64_t trace_id = 0);
+    void writePage(unsigned queue, Lpn lpn, DataStore::Page data, Done done,
+                   std::uint64_t trace_id = 0);
 
     /** Deallocate one logical page (DSM / trim). */
     void trimPage(unsigned queue, Lpn lpn, Done done,
@@ -140,14 +142,22 @@ class UnvmeDriver
     }
 
   private:
+    /** One completion shape per command family: a page read hands
+     *  back a view, an SLS result read its packed bytes, the rest
+     *  nothing. */
+    using Completion = std::variant<ReadDone, Done, SlsResultDone>;
+
     /**
-     * In-flight state of one page read. The chain's continuations
-     * capture only `this` and the record index, so they fit inline,
-     * and the caller's `done` is moved once in and once out.
+     * In-flight state of one command, whatever its kind. The chain's
+     * continuations capture only `this` and the record index, so they
+     * fit inline, and the caller's `done` is moved once in and once
+     * out.
      */
-    struct ReadCmd
+    struct Command
     {
-        NvmeCommand cmd;
+        /** The command as built; its payload is the command's one byte
+         *  buffer (write data or SLS config in, SLS result out). */
+        NvmeCommand nvme;
         unsigned queue = 0;
         /** Ring-assigned command id, once submitted. */
         std::uint16_t cid = 0;
@@ -155,15 +165,22 @@ class UnvmeDriver
         SpanId span = invalidSpan;
         /** The command's whole residence on the queue. */
         SpanId devSpan = invalidSpan;
-        /** The page the completion hands back. */
+        /** The page a read's completion hands back. */
         PageView view;
-        ReadDone done;
+        Completion done;
     };
 
-    /** @{ Read chain phases after the submit CPU cost: hand the command
-     *  to the controller, then run `done` after the completion poll. */
-    void submitRead(std::uint32_t op);
-    void finishRead(std::uint32_t op);
+    /** @{ The one chain every command runs. `open` occupies the queue
+     *  and stores the command; the entry point fills in the rest of the
+     *  record, and `issue` opens the spans and burns the submit CPU
+     *  cost. `submit` hands the command to the controller, `poll` burns
+     *  the completion cost, and `finish` runs `done`. */
+    std::uint32_t open(unsigned queue, NvmeOpcode opcode, std::uint64_t slba,
+                       std::uint64_t trace_id);
+    void issue(std::uint32_t op, Tick submit_cost);
+    void submit(std::uint32_t op);
+    void poll(std::uint32_t op);
+    void finish(std::uint32_t op);
     /** @} */
 
     /** Mark the queue busy; panics on concurrent use (sync API). */
@@ -191,7 +208,7 @@ class UnvmeDriver
     std::vector<std::string> queueTrackNames_;
     std::vector<std::unique_ptr<SerialResource>> ioThreads_;
     std::vector<std::unique_ptr<NvmeQueuePair>> queuePairs_;
-    RecordPool<ReadCmd> reads_;
+    RecordPool<Command> inflight_;
     std::uint64_t nextRequestId_ = 1;
     unsigned rrNext_ = 0;  ///< round-robin rotor for pickQueue()
 

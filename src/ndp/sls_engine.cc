@@ -49,7 +49,7 @@ SlsEngine::pageOffsetOf(const Entry &entry, RowId row) const
 }
 
 void
-SlsEngine::configWrite(const NvmeCommand &cmd, std::function<void()> done)
+SlsEngine::configWrite(const NvmeCommand &cmd, ConfigDone done)
 {
     if (entries_.size() >= params_.maxEntries) {
         // Request buffer full: hold the command until an entry frees.
@@ -60,7 +60,7 @@ SlsEngine::configWrite(const NvmeCommand &cmd, std::function<void()> done)
 }
 
 void
-SlsEngine::admit(const NvmeCommand &cmd, std::function<void()> done)
+SlsEngine::admit(const NvmeCommand &cmd, ConfigDone done)
 {
     requests_.inc();
     auto addr = SlsAddress::decode(cmd.slba);
@@ -383,7 +383,7 @@ SlsEngine::finishTranslate(std::uint32_t op)
     }
 }
 
-std::shared_ptr<std::vector<std::byte>>
+DataStore::Page
 SlsEngine::packResults(const Entry &entry)
 {
     const SlsConfig &cfg = entry.cfg;
@@ -408,9 +408,8 @@ SlsEngine::maybeComplete(Entry &entry)
     if (!entry.readDone)
         return;  // waiting for the host's result-read command
 
-    auto done = std::move(entry.readDone);
-    entry.readDone = nullptr;
-    auto bytes = packResults(entry);
+    ResultDone done = std::move(entry.readDone);
+    DataStore::Page bytes = packResults(entry);
 
     entry.timing.resultSent = eq_.now();
     lastTiming_ = entry.timing;
@@ -428,13 +427,11 @@ SlsEngine::maybeComplete(Entry &entry)
         admit(cmd, std::move(cb));
     }
 
-    done(bytes);
+    done(std::move(bytes));
 }
 
 void
-SlsEngine::resultRead(
-    const NvmeCommand &cmd,
-    std::function<void(std::shared_ptr<std::vector<std::byte>>)> done)
+SlsEngine::resultRead(const NvmeCommand &cmd, ResultDone done)
 {
     auto it = entries_.find(cmd.slba);
     recssd_assert(it != entries_.end(),

@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -100,12 +99,8 @@ class SlsEngine : public SlsHandler
               const std::string &track_prefix = "");
 
     /** @{ SlsHandler (called by the NVMe host controller). */
-    void configWrite(const NvmeCommand &cmd,
-                     std::function<void()> done) override;
-    void resultRead(const NvmeCommand &cmd,
-                    std::function<void(
-                        std::shared_ptr<std::vector<std::byte>>)>
-                        done) override;
+    void configWrite(const NvmeCommand &cmd, ConfigDone done) override;
+    void resultRead(const NvmeCommand &cmd, ResultDone done) override;
     /** @} */
 
     /** Time breakdown of the most recently completed request. */
@@ -168,8 +163,7 @@ class SlsEngine : public SlsHandler
         std::vector<std::uint32_t> pairIdx;
         std::size_t nextPage = 0;
         /* element 4: pending host page request */
-        std::function<void(std::shared_ptr<std::vector<std::byte>>)>
-            readDone;
+        ResultDone readDone;
         /* element 5: result scratchpad */
         std::vector<float> results;
 
@@ -215,7 +209,7 @@ class SlsEngine : public SlsHandler
     };
 
     /** Admit a config into the request buffer (or the wait queue). */
-    void admit(const NvmeCommand &cmd, std::function<void()> done);
+    void admit(const NvmeCommand &cmd, ConfigDone done);
 
     /** Config scan on the firmware core (step 2). */
     void processConfig(const EntryPtr &entry);
@@ -236,7 +230,7 @@ class SlsEngine : public SlsHandler
     std::span<std::byte> gatherScratch(std::size_t bytes);
 
     /** Pack the scratchpad into page-aligned result bytes. */
-    std::shared_ptr<std::vector<std::byte>> packResults(const Entry &entry);
+    DataStore::Page packResults(const Entry &entry);
 
     Lpn lpnOf(const Entry &entry, RowId row) const;
     std::uint32_t pageOffsetOf(const Entry &entry, RowId row) const;
@@ -254,7 +248,7 @@ class SlsEngine : public SlsHandler
     IssueRing rrOrder_;
     RecordPool<Translation> translations_;
     std::vector<std::byte> gatherBuf_;
-    std::deque<std::pair<NvmeCommand, std::function<void()>>> waiting_;
+    std::deque<std::pair<NvmeCommand, ConfigDone>> waiting_;
     unsigned outstandingFlash_ = 0;
 
     std::string trackName_;

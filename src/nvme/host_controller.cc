@@ -24,14 +24,26 @@ HostController::killNow()
 }
 
 std::size_t
-HostController::addDeathHook(std::function<void()> hook)
+HostController::addDeathHook(EventQueue::Callback hook)
 {
     deathHooks_.push_back(std::move(hook));
     return deathHooks_.size() - 1;
 }
 
 void
-HostController::fetchCommand(std::uint32_t op, Step next)
+HostController::submit(const NvmeCommand &cmd, Completion done, Step execute)
+{
+    std::uint32_t op = inflight_.put(Command{});
+    Command &rec = inflight_[op];
+    rec.cmd = cmd;
+    rec.cmd.submitTick = eq_.now();
+    rec.execute = execute;
+    rec.done = std::move(done);
+    fetchCommand(op);
+}
+
+void
+HostController::fetchCommand(std::uint32_t op)
 {
     if (dead_) {
         // The drive fell off the bus: the SQ doorbell rings into the
@@ -43,28 +55,28 @@ HostController::fetchCommand(std::uint32_t op, Step next)
     commands_.inc();
     pcie_.transfer(
         params_.sqeBytes,
-        [this, op, next]() {
-            Command &cmd = inflight_[op];
+        [this, op]() {
+            Command &rec = inflight_[op];
             if (Tracer *tracer = tracerOf(eq_)) {
-                cmd.span = tracer->begin(tracer->track(trackName_),
+                rec.span = tracer->begin(tracer->track(trackName_),
                                          "cmd_process", Phase::NvmeXfer,
-                                         cmd.traceId);
+                                         rec.cmd.traceId);
             }
-            ctrl_.acquire(params_.cmdProcessCost, [this, op, next]() {
-                Command &cmd = inflight_[op];
-                if (cmd.span != invalidSpan) {
+            ctrl_.acquire(params_.cmdProcessCost, [this, op]() {
+                Command &rec = inflight_[op];
+                if (rec.span != invalidSpan) {
                     if (Tracer *tracer = tracerOf(eq_))
-                        tracer->end(cmd.span);
-                    cmd.span = invalidSpan;
+                        tracer->end(rec.span);
+                    rec.span = invalidSpan;
                 }
-                (this->*next)(op);
+                (this->*rec.execute)(op);
             });
         },
-        inflight_[op].traceId);
+        inflight_[op].cmd.traceId);
 }
 
 void
-HostController::postCompletion(std::uint32_t op, Step next)
+HostController::postCompletion(std::uint32_t op)
 {
     if (dead_) {
         // In-flight command whose device died mid-chain: the host
@@ -73,22 +85,34 @@ HostController::postCompletion(std::uint32_t op, Step next)
         inflight_.release(op);
         return;
     }
-    Command &cmd = inflight_[op];
+    Command &rec = inflight_[op];
     if (Tracer *tracer = tracerOf(eq_)) {
-        cmd.span = tracer->begin(tracer->track(trackName_), "cqe_post",
-                                 Phase::NvmeXfer, cmd.traceId);
+        rec.span = tracer->begin(tracer->track(trackName_), "cqe_post",
+                                 Phase::NvmeXfer, rec.cmd.traceId);
     }
-    ctrl_.acquire(params_.completionPostCost, [this, op, next]() {
-        Command &cmd = inflight_[op];
-        if (cmd.span != invalidSpan) {
+    ctrl_.acquire(params_.completionPostCost, [this, op]() {
+        Command &rec = inflight_[op];
+        if (rec.span != invalidSpan) {
             if (Tracer *tracer = tracerOf(eq_))
-                tracer->end(cmd.span);
-            cmd.span = invalidSpan;
+                tracer->end(rec.span);
+            rec.span = invalidSpan;
         }
         pcie_.transfer(
-            params_.cqeBytes, [this, op, next]() { (this->*next)(op); },
-            cmd.traceId);
+            params_.cqeBytes, [this, op]() { complete(op); },
+            rec.cmd.traceId);
     });
+}
+
+void
+HostController::complete(std::uint32_t op)
+{
+    Command rec = inflight_.take(op);
+    if (auto *read = std::get_if<ReadDone>(&rec.done))
+        (*read)(rec.view);
+    else if (auto *result = std::get_if<SlsReadDone>(&rec.done))
+        (*result)(std::move(rec.cmd.payload));
+    else if (const WriteDone &done = std::get<WriteDone>(rec.done))
+        done();
 }
 
 void
@@ -96,39 +120,24 @@ HostController::submitRead(const NvmeCommand &cmd, ReadDone done)
 {
     recssd_assert(!cmd.slsFlag, "use submitSlsRead for SLS commands");
     recssd_assert(cmd.nlb == 1, "data path reads one page per command");
-    Command rec;
-    rec.traceId = cmd.traceId;
-    rec.lpn = cmd.slba;
-    rec.readDone = std::move(done);
-    fetchCommand(inflight_.put(std::move(rec)),
-                 &HostController::readExecute);
+    submit(cmd, std::move(done), &HostController::readExecute);
 }
 
 void
 HostController::readExecute(std::uint32_t op)
 {
-    const Command &cmd = inflight_[op];
+    const Command &rec = inflight_[op];
     ftl_.hostRead(
-        cmd.lpn,
+        rec.cmd.slba,
         [this, op](const PageView &view) {
             // Page data DMA to host, then the completion entry.
-            Command &cmd = inflight_[op];
-            cmd.view = view;
+            Command &rec = inflight_[op];
+            rec.view = view;
             pcie_.transfer(
                 ftl_.flash().params().pageSize,
-                [this, op]() {
-                    postCompletion(op, &HostController::readComplete);
-                },
-                cmd.traceId);
+                [this, op]() { postCompletion(op); }, rec.cmd.traceId);
         },
-        cmd.traceId);
-}
-
-void
-HostController::readComplete(std::uint32_t op)
-{
-    Command cmd = inflight_.take(op);
-    cmd.readDone(cmd.view);
+        rec.cmd.traceId);
 }
 
 void
@@ -137,13 +146,7 @@ HostController::submitWrite(const NvmeCommand &cmd, WriteDone done)
     recssd_assert(!cmd.slsFlag, "use submitSlsConfig for SLS commands");
     recssd_assert(cmd.nlb == 1, "data path writes one page per command");
     recssd_assert(cmd.payload != nullptr, "write without payload");
-    Command rec;
-    rec.traceId = cmd.traceId;
-    rec.lpn = cmd.slba;
-    rec.payload = cmd.payload;
-    rec.writeDone = std::move(done);
-    fetchCommand(inflight_.put(std::move(rec)),
-                 &HostController::writeExecute);
+    submit(cmd, std::move(done), &HostController::writeExecute);
 }
 
 void
@@ -153,45 +156,28 @@ HostController::writeExecute(std::uint32_t op)
     pcie_.transfer(
         ftl_.flash().params().pageSize,
         [this, op]() {
-            Command &cmd = inflight_[op];
+            Command &rec = inflight_[op];
             ftl_.hostWrite(
-                cmd.lpn, std::move(cmd.payload),
-                [this, op]() {
-                    postCompletion(op, &HostController::writeComplete);
-                },
-                cmd.traceId);
+                rec.cmd.slba, std::move(rec.cmd.payload),
+                [this, op]() { postCompletion(op); }, rec.cmd.traceId);
         },
-        inflight_[op].traceId);
-}
-
-void
-HostController::writeComplete(std::uint32_t op)
-{
-    Command cmd = inflight_.take(op);
-    if (cmd.writeDone)
-        cmd.writeDone();
+        inflight_[op].cmd.traceId);
 }
 
 void
 HostController::submitTrim(const NvmeCommand &cmd, WriteDone done)
 {
     recssd_assert(cmd.opcode == NvmeOpcode::Dsm, "submitTrim needs DSM");
-    Command rec;
-    rec.traceId = cmd.traceId;
-    rec.lpn = cmd.slba;
-    rec.writeDone = std::move(done);
-    fetchCommand(inflight_.put(std::move(rec)),
-                 &HostController::trimExecute);
+    submit(cmd, std::move(done), &HostController::trimExecute);
 }
 
 void
 HostController::trimExecute(std::uint32_t op)
 {
-    const Command &cmd = inflight_[op];
+    const Command &rec = inflight_[op];
     ftl_.hostTrim(
-        cmd.lpn,
-        [this, op]() { postCompletion(op, &HostController::writeComplete); },
-        cmd.traceId);
+        rec.cmd.slba, [this, op]() { postCompletion(op); },
+        rec.cmd.traceId);
 }
 
 void
@@ -200,28 +186,21 @@ HostController::submitSlsConfig(const NvmeCommand &cmd, WriteDone done)
     recssd_assert(cmd.slsFlag, "submitSlsConfig requires the SLS flag");
     recssd_assert(sls_ != nullptr, "no SLS handler registered");
     recssd_assert(cmd.payload != nullptr, "SLS config without payload");
-    Command rec;
-    rec.traceId = cmd.traceId;
-    rec.sls = cmd;
-    rec.sls.submitTick = eq_.now();
-    rec.writeDone = std::move(done);
-    fetchCommand(inflight_.put(std::move(rec)),
-                 &HostController::slsConfigExecute);
+    submit(cmd, std::move(done), &HostController::slsConfigExecute);
 }
 
 void
 HostController::slsConfigExecute(std::uint32_t op)
 {
     // Step 1a (Fig 7): DMA the configuration data from the host.
-    const Command &cmd = inflight_[op];
+    const Command &rec = inflight_[op];
     pcie_.transfer(
-        cmd.sls.payload->size(),
+        rec.cmd.payload->size(),
         [this, op]() {
-            sls_->configWrite(inflight_[op].sls, [this, op]() {
-                postCompletion(op, &HostController::writeComplete);
-            });
+            sls_->configWrite(inflight_[op].cmd,
+                              [this, op]() { postCompletion(op); });
         },
-        cmd.traceId);
+        rec.cmd.traceId);
 }
 
 void
@@ -229,12 +208,7 @@ HostController::submitSlsRead(const NvmeCommand &cmd, SlsReadDone done)
 {
     recssd_assert(cmd.slsFlag, "submitSlsRead requires the SLS flag");
     recssd_assert(sls_ != nullptr, "no SLS handler registered");
-    Command rec;
-    rec.traceId = cmd.traceId;
-    rec.sls = cmd;
-    rec.slsDone = std::move(done);
-    fetchCommand(inflight_.put(std::move(rec)),
-                 &HostController::slsReadExecute);
+    submit(cmd, std::move(done), &HostController::slsReadExecute);
 }
 
 void
@@ -243,26 +217,14 @@ HostController::slsReadExecute(std::uint32_t op)
     // Step 1b (Fig 7): register the host page request; the engine
     // calls back with packed result bytes when ready, which we then
     // DMA to the host.
-    sls_->resultRead(
-        inflight_[op].sls,
-        [this, op](std::shared_ptr<std::vector<std::byte>> data) {
-            Command &cmd = inflight_[op];
-            std::uint64_t bytes = data->size();
-            cmd.data = std::move(data);
-            pcie_.transfer(
-                bytes,
-                [this, op]() {
-                    postCompletion(op, &HostController::slsReadComplete);
-                },
-                cmd.traceId, Phase::ResultDma);
-        });
-}
-
-void
-HostController::slsReadComplete(std::uint32_t op)
-{
-    Command cmd = inflight_.take(op);
-    cmd.slsDone(std::move(cmd.data));
+    sls_->resultRead(inflight_[op].cmd, [this, op](DataStore::Page bytes) {
+        Command &rec = inflight_[op];
+        std::uint64_t size = bytes->size();
+        rec.cmd.payload = std::move(bytes);
+        pcie_.transfer(
+            size, [this, op]() { postCompletion(op); }, rec.cmd.traceId,
+            Phase::ResultDma);
+    });
 }
 
 void

@@ -6,15 +6,17 @@
  * resource (the second A9 core plus the NVMe DMA engine), dispatches
  * to the FTL — or, for commands carrying the SLS flag, to a registered
  * `SlsHandler` (the RecSSD engine) — and posts completions back across
- * the link.
+ * the link. Every command kind runs one chain through one per-command
+ * record (fetch, its own execute step, completion post, `complete`);
+ * only the execute step differs.
  */
 
 #ifndef RECSSD_NVME_HOST_CONTROLLER_H
 #define RECSSD_NVME_HOST_CONTROLLER_H
 
-#include <functional>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/event_queue.h"
@@ -49,6 +51,10 @@ struct NvmeParams
 class SlsHandler
 {
   public:
+    using ConfigDone = EventQueue::Callback;
+    /** Receives the packed result bytes. */
+    using ResultDone = InlineFunction<void(DataStore::Page)>;
+
     virtual ~SlsHandler() = default;
 
     /**
@@ -56,17 +62,13 @@ class SlsHandler
      * DMAed into controller DRAM. Call `done` when the device has
      * accepted the configuration (completes the NVMe write).
      */
-    virtual void configWrite(const NvmeCommand &cmd,
-                             std::function<void()> done) = 0;
+    virtual void configWrite(const NvmeCommand &cmd, ConfigDone done) = 0;
 
     /**
      * A result (read-like) SLS command arrived. Call `done` with the
      * packed result bytes once they are ready to DMA.
      */
-    virtual void
-    resultRead(const NvmeCommand &cmd,
-               std::function<void(std::shared_ptr<std::vector<std::byte>>)>
-                   done) = 0;
+    virtual void resultRead(const NvmeCommand &cmd, ResultDone done) = 0;
 };
 
 class HostController
@@ -75,8 +77,7 @@ class HostController
     /** Completion of a data-read command (lazy page view). */
     using ReadDone = FlashArray::ReadCallback;
     using WriteDone = EventQueue::Callback;
-    using SlsReadDone =
-        std::function<void(std::shared_ptr<std::vector<std::byte>>)>;
+    using SlsReadDone = SlsHandler::ResultDone;
 
     /** `track_prefix` namespaces the controller's trace track (multi-
      *  SSD systems pass "ssd<d>." so device spans stay separable). */
@@ -127,7 +128,7 @@ class HostController
     void killNow();
     bool dead() const { return dead_; }
     /** Register a death hook; @return its handle. */
-    std::size_t addDeathHook(std::function<void()> hook);
+    std::size_t addDeathHook(EventQueue::Callback hook);
     /** Unregister a hook (its owner is going away). */
     void removeDeathHook(std::size_t handle) { deathHooks_.at(handle) = {}; }
     std::uint64_t droppedCommands() const { return dropped_.value(); }
@@ -136,49 +137,54 @@ class HostController
     std::uint64_t commandsProcessed() const { return commands_.value(); }
 
   private:
-    /**
-     * In-flight state of one command. Every phase continuation
-     * captures only `this`, the record index and the next step, so
-     * each fits an EventQueue::Callback's inline buffer.
-     */
-    struct Command
-    {
-        std::uint64_t traceId = 0;
-        Lpn lpn = 0;
-        /** Open controller span (cmd_process / cqe_post). */
-        SpanId span = invalidSpan;
-        /** Data the completion hands back (read commands). */
-        PageView view;
-        /** Write payload (stored by reference as the flash page). */
-        DataStore::Page payload;
-        /** Packed SLS result bytes. */
-        std::shared_ptr<std::vector<std::byte>> data;
-        /** SLS commands: the command as the handler sees it. */
-        NvmeCommand sls;
-        ReadDone readDone;
-        WriteDone writeDone;
-        SlsReadDone slsDone;
-    };
-
     /** A phase of a command chain, run with the command's index. */
     using Step = void (HostController::*)(std::uint32_t op);
 
-    /** Command fetch: SQE DMA + controller parse cost, then `next`. */
-    void fetchCommand(std::uint32_t op, Step next);
+    /** One completion shape per command family: a data read hands
+     *  back a page view, an SLS result read its packed bytes, the
+     *  rest nothing. */
+    using Completion = std::variant<ReadDone, WriteDone, SlsReadDone>;
 
-    /** Completion: controller post cost + CQE DMA, then `next`. */
-    void postCompletion(std::uint32_t op, Step next);
+    /**
+     * In-flight state of one command, whatever its kind. Every phase
+     * continuation captures only `this` and the record index, so each
+     * fits an EventQueue::Callback's inline buffer.
+     */
+    struct Command
+    {
+        /** The command as fetched. Its payload is the command's one
+         *  byte buffer: the write data or SLS config on the way in
+         *  (a data write's is stored by reference as the flash page),
+         *  the packed SLS result on the way out. */
+        NvmeCommand cmd;
+        /** The command-specific phase that runs after the fetch. */
+        Step execute = nullptr;
+        /** Open controller span (cmd_process / cqe_post). */
+        SpanId span = invalidSpan;
+        /** The page a data read's completion hands back. */
+        PageView view;
+        Completion done;
+    };
 
-    /** @{ Command-specific phases (after fetch) and final steps (after
-     *  the completion posts). */
+    /** Store the command, then fetch it and run `execute`. */
+    void submit(const NvmeCommand &cmd, Completion done, Step execute);
+
+    /** Command fetch: SQE DMA + controller parse cost, then the
+     *  command's execute step. */
+    void fetchCommand(std::uint32_t op);
+
+    /** Completion: controller post cost + CQE DMA, then `complete`. */
+    void postCompletion(std::uint32_t op);
+
+    /** Hand the completion to the host. */
+    void complete(std::uint32_t op);
+
+    /** @{ Command-specific phases, run after the fetch. */
     void readExecute(std::uint32_t op);
-    void readComplete(std::uint32_t op);
     void writeExecute(std::uint32_t op);
-    void writeComplete(std::uint32_t op);
     void trimExecute(std::uint32_t op);
     void slsConfigExecute(std::uint32_t op);
     void slsReadExecute(std::uint32_t op);
-    void slsReadComplete(std::uint32_t op);
     /** @} */
 
     EventQueue &eq_;
@@ -189,7 +195,7 @@ class HostController
     std::string trackName_;
     SerialResource ctrl_;
     bool dead_ = false;
-    std::vector<std::function<void()>> deathHooks_;
+    std::vector<EventQueue::Callback> deathHooks_;
     RecordPool<Command> inflight_;
 
     Counter commands_;

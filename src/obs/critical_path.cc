@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <functional>
 #include <iomanip>
 #include <ostream>
 #include <tuple>
@@ -17,36 +18,82 @@ namespace recssd
 namespace
 {
 
+/** A charged span's slice key: interned track id, name pointer and
+ *  phase. */
+struct SliceKey
+{
+    TrackId track;
+    const char *name;
+    Phase phase;
+
+    bool operator==(const SliceKey &) const = default;
+};
+
+struct SliceKeyHash
+{
+    std::size_t
+    operator()(const SliceKey &k) const noexcept
+    {
+        return std::hash<const char *>{}(k.name) ^
+               (std::size_t(k.track) << 8 | std::size_t(k.phase)) *
+                   0x9e3779b97f4a7c15ull;
+    }
+};
+
+/**
+ * Point-lookup index from a span's key to its slice in the request
+ * being folded (rule R3: slice order comes from the slices vector).
+ * A name pointer is compared by content the first time it is seen,
+ * since runtime-interned and literal names can share text.
+ */
+using SliceIndex = std::unordered_map<SliceKey, std::size_t, SliceKeyHash>;
+
+/** Index of the slice of `out` with this (track, name, phase) text,
+ *  appended if there is none yet. */
+std::size_t
+sliceOf(RequestBlame &out, const char *track, const char *name, Phase phase)
+{
+    for (std::size_t i = 0; i < out.slices.size(); ++i) {
+        const RequestBlame::Slice &s = out.slices[i];
+        if (s.phase == phase && !std::strcmp(s.track, track) &&
+            !std::strcmp(s.name, name))
+            return i;
+    }
+    out.slices.push_back({track, name, phase, 0});
+    return out.slices.size() - 1;
+}
+
 /**
  * Fold per-span ticks into per-(track, name, phase) slices, preserving
  * first-appearance order. Slice strings borrow from the tracer, which
- * outlives every report built from it.
+ * outlives every report built from it. `index` is scratch reused
+ * across requests.
  */
 RequestBlame
-foldBlame(const Tracer &tracer, const RequestSweep::Result &swept)
+foldBlame(const Tracer &tracer, const RequestSweep::Result &swept,
+          SliceIndex &index)
 {
     RequestBlame out;
     out.req = swept.req;
     out.e2e = swept.e2e;
     const std::vector<std::string> &tracks = tracer.tracks();
-    auto addSlice = [&](const char *track, const char *name, Phase phase,
-                        Tick ticks) {
-        if (ticks == 0)
-            return;
-        for (RequestBlame::Slice &s : out.slices) {
-            if (s.phase == phase && !std::strcmp(s.track, track) &&
-                !std::strcmp(s.name, name)) {
-                s.ticks += ticks;
-                return;
-            }
-        }
-        out.slices.push_back({track, name, phase, ticks});
-    };
+    index.clear();
     for (const RequestSweep::Charge &c : swept.charges) {
-        addSlice(tracks[c.span->track].c_str(), c.span->name,
-                 c.span->phase, c.ticks);
+        if (c.ticks == 0)
+            continue;
+        const SpanRecord &span = *c.span;
+        auto [it, fresh] =
+            index.try_emplace({span.track, span.name, span.phase}, 0);
+        if (fresh) {
+            it->second = sliceOf(out, tracks[span.track].c_str(), span.name,
+                                 span.phase);
+        }
+        out.slices[it->second].ticks += c.ticks;
     }
-    addSlice("", "other", Phase::Other, swept.uncovered);
+    if (swept.uncovered != 0) {
+        out.slices[sliceOf(out, "", "other", Phase::Other)].ticks +=
+            swept.uncovered;
+    }
     return out;
 }
 
@@ -168,7 +215,9 @@ blameIsQueueing(const char *name)
 RequestBlame
 blameRequest(const Tracer &tracer, const SpanRecord &root)
 {
-    return foldBlame(tracer, RequestSweep(tracer, nullptr).sweep(root));
+    SliceIndex index;
+    return foldBlame(tracer, RequestSweep(tracer, nullptr).sweep(root),
+                     index);
 }
 
 std::size_t
@@ -199,8 +248,9 @@ computeBlame(const Tracer &tracer, const char *root_name)
 {
     RequestSweep sweep(tracer, root_name);
     std::vector<RequestBlame> per_req;
+    SliceIndex index;
     for (const SpanRecord *root : sweep.roots())
-        per_req.push_back(foldBlame(tracer, sweep.sweep(*root)));
+        per_req.push_back(foldBlame(tracer, sweep.sweep(*root), index));
 
     const bool audit = auditEnabled();
 

@@ -35,6 +35,7 @@
 #include "src/embedding/table_update.h"
 #include "src/flash/flash_array.h"
 #include "src/ftl/ftl.h"
+#include "src/ndp/sls_engine.h"
 #include "src/trace/trace_gen.h"
 #include "tests/test_helpers.h"
 
@@ -322,6 +323,111 @@ TEST(AllocRegression, WarmPackedRowUpdateAllocatesOnePageBuffer)
         update(row, 2);
         EXPECT_EQ(pageAllocations - before, 1u) << "row " << row;
     }
+}
+
+
+TEST(AllocRegression, WarmDriverCommandsAllocateOnlyTheirBuffers)
+{
+    // A warmed write, trim and SLS config + result pair through the
+    // driver, the controller and the FTL or SLS engine allocate what
+    // the same device-side work allocates when issued directly, plus
+    // the command's own data buffers: the config's serialize() vector
+    // and the shared page holding it (packResults is engine work). The
+    // chain itself -- records, continuations, completions -- allocates
+    // nothing.
+    System sys(test::smallSystem());
+    EmbeddingTableDesc table = sys.installTable(1000, 32);
+    UnvmeDriver &drv = sys.driver();
+    Ftl &ftl = sys.ssd().ftl();
+    SlsEngine &engine = sys.ssd().slsEngine();
+    SlsConfig cfg;
+    cfg.featureDim = table.dim;
+    cfg.attrBytes = table.attrBytes;
+    cfg.rowsPerPage = table.rowsPerPage;
+    cfg.numResults = 2;
+    cfg.pairs = {{3, 0}, {9, 0}, {40, 1}};
+    const DataStore::Page page = std::make_shared<std::vector<std::byte>>(
+        drv.pageSize(), std::byte{0x5A});
+    const DataStore::Page cfg_bytes =
+        std::make_shared<std::vector<std::byte>>(cfg.serialize());
+
+    // Completions shaped like real callers: more than two pointers of
+    // captures.
+    unsigned completions = 0;
+    Tick last = 0;
+    EventQueue &eq = sys.eq();
+    auto done = [&completions, &last, &eq]() {
+        ++completions;
+        last = eq.now();
+    };
+    auto result_done = [&completions, &last, &eq](DataStore::Page bytes) {
+        ASSERT_NE(bytes, nullptr);
+        ++completions;
+        last = eq.now();
+    };
+    auto allocs = [&](auto &&issue) {
+        const std::uint64_t before = allocations;
+        issue();
+        sys.run();
+        return allocations - before;
+    };
+    auto slsCommand = [&](NvmeOpcode opcode, std::uint64_t req) {
+        NvmeCommand cmd;
+        cmd.opcode = opcode;
+        cmd.slsFlag = true;
+        cmd.slba = SlsAddress::encode(table.baseLpn, req);
+        cmd.payload = cfg_bytes;
+        return cmd;
+    };
+
+    struct Counts
+    {
+        std::uint64_t write, trim, config, result;
+    };
+    auto viaDriver = [&](Lpn lpn) {
+        Counts c{};
+        c.write = allocs([&] { drv.writePage(0, lpn, page, done); });
+        c.trim = allocs([&] { drv.trimPage(0, lpn, done); });
+        std::uint64_t req = drv.allocRequestId();
+        c.config = allocs(
+            [&] { drv.slsConfigWrite(0, table.baseLpn, req, cfg, done); });
+        c.result = allocs([&] {
+            drv.slsResultRead(0, table.baseLpn, req, result_done);
+        });
+        return c;
+    };
+    auto direct = [&](Lpn lpn) {
+        Counts c{};
+        c.write = allocs([&] { ftl.hostWrite(lpn, page, done); });
+        c.trim = allocs([&] { ftl.hostTrim(lpn, done); });
+        std::uint64_t req = drv.allocRequestId();
+        NvmeCommand config = slsCommand(NvmeOpcode::Write, req);
+        NvmeCommand result = slsCommand(NvmeOpcode::Read, req);
+        c.config = allocs([&] { engine.configWrite(config, done); });
+        c.result = allocs([&] { engine.resultRead(result, result_done); });
+        return c;
+    };
+
+    // Warm-up: grows every pool and record to this shape's high-water
+    // mark.
+    for (Lpn lpn : {500, 501}) {
+        viaDriver(lpn);
+        direct(lpn);
+    }
+    const unsigned completions_before = completions;
+    Counts chain = viaDriver(502);
+    Counts device = direct(503);
+    ASSERT_EQ(completions - completions_before, 8u);
+
+    RecordProperty("write_allocations", static_cast<int>(chain.write));
+    RecordProperty("trim_allocations", static_cast<int>(chain.trim));
+    RecordProperty("config_allocations", static_cast<int>(chain.config));
+    RecordProperty("result_allocations", static_cast<int>(chain.result));
+    EXPECT_EQ(chain.write, device.write) << "write";
+    EXPECT_EQ(chain.trim, device.trim) << "trim";
+    EXPECT_EQ(chain.config, device.config + 2)
+        << "SLS config: serialize() plus its shared page";
+    EXPECT_EQ(chain.result, device.result) << "SLS result";
 }
 
 }  // namespace

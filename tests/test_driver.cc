@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "src/host/queue_allocator.h"
 #include "tests/test_helpers.h"
 
@@ -153,6 +157,89 @@ TEST_F(DriverTest, MisalignedTableBasePanics)
     EXPECT_DEATH(
         sys_.driver().slsConfigWrite(0, 123, 1, cfg, []() {}),
         "aligned");
+}
+
+
+/** (name, begin, end) of every span on one trace track. */
+using TrackSpans = std::vector<std::tuple<std::string, Tick, Tick>>;
+
+TrackSpans
+spansOnTrack(const Tracer &tracer, const std::string &track)
+{
+    TrackSpans out;
+    for (const SpanRecord &s : tracer.spans()) {
+        if (tracer.tracks()[s.track] == track)
+            out.emplace_back(s.name, s.begin, s.end);
+    }
+    return out;
+}
+
+TEST_F(DriverTest, EveryCommandKindKeepsItsTicksAndSpans)
+{
+    // All five command kinds share one chain. Issue one of each at the
+    // same tick, each on its own queue, and pin every completion tick
+    // and queue-track span to the values the per-kind chains gave.
+    SystemConfig cfg = test::smallSystem();
+    cfg.host.ioQueues = 5;
+    System sys(cfg);
+    sys.enableTracing();
+    UnvmeDriver &drv = sys.driver();
+    ASSERT_EQ(drv.numQueues(), 5u);
+    auto table = sys.installTable(1000, 32);
+    SlsConfig sls;
+    sls.featureDim = table.dim;
+    sls.attrBytes = table.attrBytes;
+    sls.rowsPerPage = table.rowsPerPage;
+    sls.numResults = 2;
+    sls.pairs = {{3, 0}, {9, 0}, {40, 1}};
+    auto page = std::make_shared<std::vector<std::byte>>(drv.pageSize(),
+                                                         std::byte{0x3C});
+    // Setup: the page the trim deallocates, and request 1's config,
+    // whose result read then runs beside request 2's config.
+    drv.writePage(2, 501, page, []() {});
+    drv.slsConfigWrite(4, table.baseLpn, 1, sls, []() {});
+    sys.run();
+
+    ASSERT_EQ(sys.eq().now(), 937912u);
+    std::vector<Tick> done(5, 0);
+    auto stamp = [&](unsigned kind) { done[kind] = sys.eq().now(); };
+    drv.readPage(0, table.baseLpn + 7, [&](const PageView &) { stamp(0); });
+    drv.writePage(1, 500, page, [&]() { stamp(1); });
+    drv.trimPage(2, 501, [&]() { stamp(2); });
+    drv.slsConfigWrite(3, table.baseLpn, 2, sls, [&]() { stamp(3); });
+    drv.slsResultRead(4, table.baseLpn, 1, [&](auto) { stamp(4); });
+    sys.run();
+
+    EXPECT_EQ(done, (std::vector<Tick>{1131824, 1892584, 972962, 967942,
+                                       967442}));
+    const std::vector<TrackSpans> expected = {
+        {{"read", 937912, 1131824},
+         {"submit", 937912, 939912},
+         {"poll", 1130324, 1131824}},
+        {{"write", 937912, 1892584},
+         {"submit", 937912, 939912},
+         {"poll", 1891084, 1892584}},
+        {{"write", 0, 937912},
+         {"submit", 0, 2000},
+         {"poll", 936412, 937912},
+         {"trim", 937912, 972962},
+         {"submit", 937912, 939912},
+         {"poll", 971462, 972962}},
+        {{"sls_config", 937912, 967942},
+         {"submit", 937912, 939918},
+         {"poll", 966442, 967942}},
+        {{"sls_config", 0, 18319},
+         {"submit", 0, 2006},
+         {"poll", 16819, 18319},
+         {"sls_result", 937912, 967442},
+         {"submit", 937912, 939912},
+         {"poll", 965942, 967442}},
+    };
+    for (unsigned q = 0; q < 5; ++q) {
+        EXPECT_EQ(spansOnTrack(sys.tracer(), "unvme.q" + std::to_string(q)),
+                  expected[q])
+            << "queue " << q;
+    }
 }
 
 }  // namespace

@@ -200,7 +200,7 @@ TEST_F(FlashTimingTest, WriteThenReadReturnsData)
 {
     auto data = pattern(params_.pageSize, 0x42);
     bool wrote = false;
-    flash_.writePage(5, data, [&]() { wrote = true; });
+    flash_.writePage(5, store_.makePage(data), [&]() { wrote = true; });
     eq_.run();
     EXPECT_TRUE(wrote);
     EXPECT_EQ(flash_.pageWrites(), 1u);
@@ -219,7 +219,7 @@ TEST_F(FlashTimingTest, WriteThenReadReturnsData)
 TEST_F(FlashTimingTest, WriteLatencyIncludesProgram)
 {
     Tick done = 0;
-    flash_.writePage(0, pattern(params_.pageSize, 1),
+    flash_.writePage(0, store_.makePage(pattern(params_.pageSize, 1)),
                      [&]() { done = eq_.now(); });
     eq_.run();
     EXPECT_GE(done, params_.programLatency);
@@ -228,7 +228,7 @@ TEST_F(FlashTimingTest, WriteLatencyIncludesProgram)
 TEST_F(FlashTimingTest, EraseDropsBlockData)
 {
     auto data = pattern(params_.pageSize, 7);
-    flash_.writePage(0, data, nullptr);
+    flash_.writePage(0, store_.makePage(data), nullptr);
     eq_.run();
     bool erased = false;
     flash_.eraseBlock(0, [&]() { erased = true; });

@@ -105,16 +105,14 @@ class RecordingHandler : public SlsHandler
 {
   public:
     void
-    configWrite(const NvmeCommand &cmd, std::function<void()> done) override
+    configWrite(const NvmeCommand &cmd, ConfigDone done) override
     {
         configs.push_back(cmd);
         done();
     }
 
     void
-    resultRead(const NvmeCommand &cmd,
-               std::function<void(std::shared_ptr<std::vector<std::byte>>)>
-                   done) override
+    resultRead(const NvmeCommand &cmd, ResultDone done) override
     {
         reads.push_back(cmd);
         done(std::make_shared<std::vector<std::byte>>(64, std::byte{0x7}));
@@ -151,7 +149,7 @@ TEST_F(ControllerTest, SlsCommandsDispatchToHandler)
     rd.opcode = NvmeOpcode::Read;
     rd.slsFlag = true;
     rd.slba = 4242;
-    std::shared_ptr<std::vector<std::byte>> result;
+    DataStore::Page result;
     ctrl_.submitSlsRead(rd, [&](auto data) { result = data; });
     eq_.run();
     ASSERT_NE(result, nullptr);

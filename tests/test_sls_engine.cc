@@ -57,7 +57,7 @@ class SlsEngineTest : public ::testing::Test
             0, table.baseLpn, req, cfg, [&, req]() {
                 sys_->driver().slsResultRead(
                     0, table.baseLpn, req,
-                    [&](std::shared_ptr<std::vector<std::byte>> bytes) {
+                    [&](DataStore::Page bytes) {
                         std::memcpy(result.data(), bytes->data(),
                                     result.size() * sizeof(float));
                         done = true;
@@ -182,7 +182,7 @@ TEST_F(SlsEngineTest, ConcurrentRequestsInterleave)
             queue, table.baseLpn, req, cfg, [&, queue, req]() {
                 sys_->driver().slsResultRead(
                     queue, table.baseLpn, req,
-                    [&](std::shared_ptr<std::vector<std::byte>> bytes) {
+                    [&](DataStore::Page bytes) {
                         std::memcpy(out.data(), bytes->data(),
                                     out.size() * sizeof(float));
                     });
@@ -281,7 +281,7 @@ TEST_F(SlsEngineTest, ManyConcurrentRequestsBeyondBufferDepth)
             q, table.baseLpn, req, scfg, [&, q, req, base = table.baseLpn]() {
                 sys_->driver().slsResultRead(
                     q, base, req,
-                    [&](std::shared_ptr<std::vector<std::byte>>) {
+                    [&](DataStore::Page) {
                         ++completed;
                     });
             });

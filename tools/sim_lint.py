@@ -1279,7 +1279,9 @@ FIXTURE_SETS = [
 # replacement, occurrence count, rule that must fire, description).
 # The first four revert stale-pointer fixes; the fifth drops the
 # read-after-write fence from the SLS engine's record-based translate
-# continuation; the last reverts the metrics-exporter out-of-bounds fix.
+# continuation; the sixth drops the justification from the driver's
+# finish step, proving R5 still sees the shared command record's read
+# view; the last reverts the metrics-exporter out-of-bounds fix.
 MUTATIONS = [
     ("src/ftl/ftl.cc",
      r"bool current = map_\.lookup\(lpn\) == ppn;",
@@ -1302,6 +1304,11 @@ MUTATIONS = [
      "false", 1, "R5",
      "SLS translate continuation: record's PPN consumed without the "
      "write-epoch fence"),
+    ("src/host/unvme_driver.cc",
+     r'RECSSD_DEFERRED_SAFE\("view pins an immutable physical page"\);',
+     "", 1, "R5",
+     "driver finish step: record's read view consumed without the "
+     "immutable-page justification"),
     ("src/obs/metrics.cc",
      r"std::min\(names\.size\(\), row\.values\.size\(\)\)",
      "names.size()", 1, "R6",
