@@ -85,7 +85,7 @@ else
 fi
 ./scripts/check_format.sh || true
 
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 
 echo
 echo "=== stage 1: quick unit suites (ctest -L quick) ==="
@@ -184,7 +184,7 @@ python3 scripts/bench_baseline.py --sim build/tools/recssd_sim
 echo
 echo "=== stage 7h: host-time benchmark (hostbench build + tests + smokes) ==="
 cmake -B build-hostbench -S hostbench -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build build-hostbench -j --target hostbench hostbench_tests
+cmake --build build-hostbench -j "$(nproc)" --target hostbench hostbench_tests
 ctest --test-dir build-hostbench --output-on-failure
 # The benchmark refuses to time under RECSSD_AUDIT; its smokes run
 # without it.
@@ -202,7 +202,7 @@ if [[ "${RECSSD_SKIP_SANITIZERS:-0}" != "1" ]]; then
         -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DCMAKE_CXX_FLAGS="${SAN_FLAGS}" \
         -DCMAKE_EXE_LINKER_FLAGS="${SAN_FLAGS}"
-    cmake --build build-asan -j
+    cmake --build build-asan -j "$(nproc)"
     ctest --test-dir build-asan -L quick --output-on-failure -j
     ctest --test-dir build-asan -L shard --output-on-failure -j
     ctest --test-dir build-asan -L layout --output-on-failure -j

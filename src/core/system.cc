@@ -11,6 +11,53 @@
 namespace recssd
 {
 
+namespace
+{
+
+/**
+ * The cross-device aggregates of a multi-SSD system, in registration
+ * (metrics column) order. Each sums one per-device counter that
+ * `registerDevice` also exports as "ssd<d>.<group>.<name>";
+ * `auditStatConsistency` checks the two agree.
+ */
+struct Aggregate
+{
+    const char *group;
+    const char *name;
+    double (*perDevice)(Ssd &ssd, UnvmeDriver &driver);
+};
+
+constexpr Aggregate kAggregates[] = {
+    {"flash", "page_reads",
+     [](Ssd &s, UnvmeDriver &) { return double(s.flash().pageReads()); }},
+    {"flash", "page_writes",
+     [](Ssd &s, UnvmeDriver &) { return double(s.flash().pageWrites()); }},
+    {"flash", "block_erases",
+     [](Ssd &s, UnvmeDriver &) { return double(s.flash().blockErases()); }},
+    {"flash", "read_retries",
+     [](Ssd &s, UnvmeDriver &) { return double(s.flash().readRetries()); }},
+    {"ftl", "host_reads",
+     [](Ssd &s, UnvmeDriver &) { return double(s.ftl().hostReads()); }},
+    {"ftl", "host_writes",
+     [](Ssd &s, UnvmeDriver &) { return double(s.ftl().hostWrites()); }},
+    {"sls", "requests",
+     [](Ssd &s, UnvmeDriver &) { return double(s.slsEngine().requests()); }},
+    {"sls", "flash_pages_read",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.slsEngine().flashPagesRead());
+     }},
+    {"nvme", "commands",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.controller().commandsProcessed());
+     }},
+    {"pcie", "bytes_moved",
+     [](Ssd &s, UnvmeDriver &) { return double(s.pcie().bytesMoved()); }},
+    {"driver", "commands",
+     [](Ssd &, UnvmeDriver &drv) { return double(drv.commandsIssued()); }},
+};
+
+}  // namespace
+
 System::System(const SystemConfig &config) : config_(config)
 {
     recssd_assert(config_.shard.numShards > 0, "need at least one device");
@@ -226,48 +273,14 @@ System::buildRegistry()
             registerDevice(d, "ssd" + std::to_string(d) + ".", any_layout,
                            any_fault);
 
-        auto sum = [this](auto per_device) {
-            return [this, per_device]() {
+        for (const Aggregate &a : kAggregates) {
+            r.addScalar(a.group, a.name, [this, get = a.perDevice]() {
                 double total = 0.0;
                 for (unsigned d = 0; d < numSsds(); ++d)
-                    total += per_device(d);
+                    total += get(*ssds_[d], *drivers_[d]);
                 return total;
-            };
-        };
-        auto dev = [this](unsigned d) { return ssds_[d].get(); };
-        r.addScalar("flash", "page_reads", sum([dev](unsigned d) {
-            return double(dev(d)->flash().pageReads());
-        }));
-        r.addScalar("flash", "page_writes", sum([dev](unsigned d) {
-            return double(dev(d)->flash().pageWrites());
-        }));
-        r.addScalar("flash", "block_erases", sum([dev](unsigned d) {
-            return double(dev(d)->flash().blockErases());
-        }));
-        r.addScalar("flash", "read_retries", sum([dev](unsigned d) {
-            return double(dev(d)->flash().readRetries());
-        }));
-        r.addScalar("ftl", "host_reads", sum([dev](unsigned d) {
-            return double(dev(d)->ftl().hostReads());
-        }));
-        r.addScalar("ftl", "host_writes", sum([dev](unsigned d) {
-            return double(dev(d)->ftl().hostWrites());
-        }));
-        r.addScalar("sls", "requests", sum([dev](unsigned d) {
-            return double(dev(d)->slsEngine().requests());
-        }));
-        r.addScalar("sls", "flash_pages_read", sum([dev](unsigned d) {
-            return double(dev(d)->slsEngine().flashPagesRead());
-        }));
-        r.addScalar("nvme", "commands", sum([dev](unsigned d) {
-            return double(dev(d)->controller().commandsProcessed());
-        }));
-        r.addScalar("pcie", "bytes_moved", sum([dev](unsigned d) {
-            return double(dev(d)->pcie().bytesMoved());
-        }));
-        r.addScalar("driver", "commands", sum([this](unsigned d) {
-            return double(drivers_[d]->commandsIssued());
-        }));
+            });
+        }
     }
 
     r.addScalar("host.cores", "busy_us",
@@ -280,13 +293,8 @@ System::auditStatConsistency() const
     // The aggregate scalars registered for multi-SSD systems must
     // equal the sum over the per-device "ssd<d>." subtrees.  Stats are
     // integral counters surfaced as doubles, so exact compare is safe.
-    static const char *const kAggregates[] = {
-        "flash.page_reads",   "flash.page_writes", "flash.block_erases",
-        "flash.read_retries", "ftl.host_reads",    "ftl.host_writes",
-        "sls.requests",       "sls.flash_pages_read", "nvme.commands",
-        "pcie.bytes_moved",   "driver.commands",
-    };
-    for (const char *name : kAggregates) {
+    for (const Aggregate &a : kAggregates) {
+        const std::string name = std::string(a.group) + "." + a.name;
         double total = registry_.valueOf(name);
         double summed = 0.0;
         for (unsigned d = 0; d < numSsds(); ++d)
@@ -295,7 +303,7 @@ System::auditStatConsistency() const
         recssd_assert(total == summed,
                       "audit: aggregate %s = %.0f but per-device "
                       "subtrees sum to %.0f",
-                      name, total, summed);
+                      name.c_str(), total, summed);
     }
 }
 

@@ -58,7 +58,7 @@ struct BaselineSsdSlsBackend::OpState
         if (!completed && !hitWorkPending && inFlight == 0 &&
             next >= pages.size()) {
             completed = true;
-            done(result);
+            done(std::move(result));
         }
     }
 };

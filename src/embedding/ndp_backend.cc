@@ -39,7 +39,7 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
 {
     recssd_assert(op.table != nullptr, "SLS op without table");
     ops_.inc();
-    auto state = std::make_shared<NdpOpState>();
+    auto state = std::make_unique<NdpOpState>();
     state->table = *op.table;
     state->traceId = op.traceId;
     state->result.assign(op.batch() * op.table->dim, 0.0f);
@@ -75,7 +75,10 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
                          return a.inputId < b.inputId;
                      });
 
-    auto finish = [this, state]() {
+    // The op's state has one owner at a time: it moves down the
+    // queue grant, the config write and the result read into the
+    // host-side merge that completes the op.
+    auto finish = [this](std::unique_ptr<NdpOpState> state) {
         // Merge the hot (host-resident) contributions into the
         // returned partial sums.
         const std::uint32_t dim = state->table.dim;
@@ -91,16 +94,16 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
             merge_span = tracer->begin(tracer->track("host.sls"), "merge",
                                        Phase::HostCompute, state->traceId);
         }
-        cpu_.run(merge, [this, state, merge_span]() {
+        cpu_.run(merge, [this, state = std::move(state), merge_span]() {
             if (Tracer *tracer = tracerOf(eq_))
                 tracer->end(merge_span);
-            state->done(state->result);
+            state->done(std::move(state->result));
         });
     };
 
     if (cfg.pairs.empty()) {
         // Everything was host resident; no device round trip at all.
-        finish();
+        finish(std::move(state));
         return;
     }
 
@@ -109,17 +112,22 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
         wait_span = tracer->begin(tracer->track("host.sls"), "queue_wait",
                                   Phase::HostQueueWait, state->traceId);
     }
-    queues_.acquire([this, state, finish, wait_span](unsigned q) {
+    queues_.acquire([this, state = std::move(state), finish,
+                     wait_span](unsigned q) mutable {
         if (Tracer *tracer = tracerOf(eq_))
             tracer->end(wait_span);
         std::uint64_t req = driver_.allocRequestId();
-        Lpn base = state->table.baseLpn;
+        const NdpOpState &st = *state;
+        Lpn base = st.table.baseLpn;
         driver_.slsConfigWrite(
-            q, base, req, state->config,
-            [this, state, q, base, req, finish]() {
+            q, base, req, st.config,
+            [this, state = std::move(state), q, base, req,
+             finish]() mutable {
+                const std::uint64_t trace_id = state->traceId;
                 driver_.slsResultRead(
                     q, base, req,
-                    [this, state, q, finish](DataStore::Page bytes) {
+                    [this, state = std::move(state), q,
+                     finish](DataStore::Page bytes) mutable {
                         queues_.release(q);
                         // Unpack the device's partial sums.
                         std::size_t raw =
@@ -128,11 +136,11 @@ NdpSlsBackend::run(const SlsOp &op, Done done)
                                       "short SLS result payload");
                         std::memcpy(state->result.data(), bytes->data(),
                                     raw);
-                        finish();
+                        finish(std::move(state));
                     },
-                    state->traceId);
+                    trace_id);
             },
-            state->traceId);
+            st.traceId);
     });
 }
 

@@ -20,10 +20,10 @@
 #ifndef RECSSD_EMBEDDING_SLS_BACKEND_H
 #define RECSSD_EMBEDDING_SLS_BACKEND_H
 
-#include <functional>
 #include <string>
 #include <vector>
 
+#include "src/common/inline_function.h"
 #include "src/common/types.h"
 #include "src/embedding/embedding_table.h"
 
@@ -57,7 +57,7 @@ using SlsResult = std::vector<float>;
 class SlsBackend
 {
   public:
-    using Done = std::function<void(SlsResult)>;
+    using Done = InlineFunction<void(SlsResult)>;
 
     virtual ~SlsBackend() = default;
 

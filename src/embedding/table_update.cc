@@ -29,7 +29,7 @@ patchSlot(std::vector<std::byte> &page, const EmbeddingTableDesc &table,
 void
 updateRow(UnvmeDriver &driver, QueueAllocator &queues,
           const EmbeddingTableDesc &table, RowId row,
-          std::span<const float> values, std::function<void()> done,
+          std::span<const float> values, InlineFunction<void()> done,
           std::uint64_t trace_id, HostEmbeddingCache *host_cache)
 {
     recssd_assert(row < table.rows, "row out of range");

@@ -14,10 +14,10 @@
 #define RECSSD_EMBEDDING_TABLE_UPDATE_H
 
 #include <cstdint>
-#include <functional>
 #include <span>
 
 #include "src/cache/host_embedding_cache.h"
+#include "src/common/inline_function.h"
 #include "src/embedding/embedding_table.h"
 #include "src/host/queue_allocator.h"
 #include "src/host/unvme_driver.h"
@@ -48,7 +48,7 @@ namespace recssd
  */
 void updateRow(UnvmeDriver &driver, QueueAllocator &queues,
                const EmbeddingTableDesc &table, RowId row,
-               std::span<const float> values, std::function<void()> done,
+               std::span<const float> values, InlineFunction<void()> done,
                std::uint64_t trace_id = 0,
                HostEmbeddingCache *host_cache = nullptr);
 

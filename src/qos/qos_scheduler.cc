@@ -53,7 +53,6 @@ QosScheduler::QosScheduler(EventQueue &eq, std::vector<QosTenant> tenants,
     recssd_assert(!tenants.empty(), "qos: no tenants");
     recssd_assert(params_.window > 0, "qos: zero admission window");
     recssd_assert(dispatch_ != nullptr, "qos: no dispatch hook");
-    tenants_.reserve(tenants.size());
     for (QosTenant &t : tenants) {
         recssd_assert(t.share.weight > 0.0,
                       "qos: tenant '%s' needs weight > 0", t.name.c_str());

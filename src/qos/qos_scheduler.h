@@ -34,11 +34,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/load/load_gen.h"
 #include "src/obs/tracer.h"
 #include "src/qos/tenant_spec.h"
@@ -87,7 +87,7 @@ class QosScheduler
      * scheduler opened at submission (0/invalid when tracing is off)
      * and ownership of ending the root span moves downstream.
      */
-    using Dispatch = std::function<void(
+    using Dispatch = InlineFunction<void(
         unsigned tenant, const QueryShape &shape, QueryDone done,
         std::uint64_t traceId, SpanId rootSpan)>;
 
@@ -186,7 +186,9 @@ class QosScheduler
     Tick nextEligibleTick() const;
 
     EventQueue &eq_;
-    std::vector<TenantState> tenants_;
+    /** A deque never relocates: a vector would copy tenants on growth
+     *  (their queues' moves may throw), but completions are move-only. */
+    std::deque<TenantState> tenants_;
     QosParams params_;
     Dispatch dispatch_;
 

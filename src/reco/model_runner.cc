@@ -56,7 +56,7 @@ struct BatchState
     /** Any SLS op answered degraded (deadline / dead-end fill). */
     bool degraded = false;
     /** Completion hook for launchQueryEx callers. */
-    std::function<void(Tick, bool)> onDone;
+    InlineFunction<void(Tick, bool)> onDone;
 };
 
 /** In-flight state of one sub-batch. */
@@ -220,15 +220,6 @@ ModelRunner::buildPartition()
     });
 }
 
-void
-ModelRunner::launchBatch(unsigned batch_size,
-                         std::function<void(Tick)> done)
-{
-    QueryShape shape;
-    shape.batchSize = batch_size;
-    launchQuery(shape, std::move(done));
-}
-
 unsigned
 ModelRunner::scaledLookups(const TableRt &table, double scale) const
 {
@@ -241,7 +232,7 @@ ModelRunner::scaledLookups(const TableRt &table, double scale) const
 
 void
 ModelRunner::launchQuery(const QueryShape &shape,
-                         std::function<void(Tick)> done)
+                         InlineFunction<void(Tick)> done)
 {
     launchQueryEx(shape, [done = std::move(done)](Tick latency, bool) {
         if (done)
@@ -251,7 +242,7 @@ ModelRunner::launchQuery(const QueryShape &shape,
 
 void
 ModelRunner::launchQueryEx(const QueryShape &shape,
-                           std::function<void(Tick, bool)> done)
+                           InlineFunction<void(Tick, bool degraded)> done)
 {
     unsigned batch_size = shape.batchSize;
     recssd_assert(batch_size > 0, "empty batch");
@@ -290,7 +281,7 @@ ModelRunner::runBatch(unsigned batch_size)
 {
     Tick latency = 0;
     bool finished = false;
-    launchBatch(batch_size, [&](Tick t) {
+    launchQuery(QueryShape{batch_size}, [&](Tick t) {
         latency = t;
         finished = true;
     });

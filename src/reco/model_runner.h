@@ -19,6 +19,7 @@
 
 #include "src/cache/host_embedding_cache.h"
 #include "src/cache/static_partition.h"
+#include "src/common/inline_function.h"
 #include "src/core/system.h"
 #include "src/embedding/baseline_backend.h"
 #include "src/embedding/dram_backend.h"
@@ -110,21 +111,16 @@ class ModelRunner
     Tick runBatch(unsigned batch_size);
 
     /**
-     * Launch a batch without draining the event queue; `done`
-     * receives the batch latency when it completes. Lets callers
-     * overlap multiple in-flight queries (open-loop serving).
+     * Launch one query without draining the event queue; `done`
+     * receives the batch latency when it completes, so callers can
+     * overlap in-flight queries (open-loop serving). The query runs
+     * `shape.batchSize` samples touching the first
+     * `shape.tablesTouched` tables with per-table lookups scaled by
+     * `shape.poolingScale`; untouched tables contribute zero vectors
+     * (and no backend traffic beyond the operator dispatch), so the
+     * result layout never changes.
      */
-    void launchBatch(unsigned batch_size, std::function<void(Tick)> done);
-
-    /**
-     * Launch one query with an explicit shape: `shape.batchSize`
-     * samples touching the first `shape.tablesTouched` tables with
-     * per-table lookups scaled by `shape.poolingScale`. The default
-     * shape reproduces launchBatch exactly; untouched tables
-     * contribute zero vectors (and no backend traffic beyond the
-     * operator dispatch), so the result layout never changes.
-     */
-    void launchQuery(const QueryShape &shape, std::function<void(Tick)> done);
+    void launchQuery(const QueryShape &shape, InlineFunction<void(Tick)> done);
 
     /**
      * launchQuery with the degraded flag: `done(latency, degraded)`,
@@ -133,7 +129,7 @@ class ModelRunner
      * (a sub-op whose every candidate device is dead or ejected).
      */
     void launchQueryEx(const QueryShape &shape,
-                       std::function<void(Tick, bool)> done);
+                       InlineFunction<void(Tick, bool degraded)> done);
 
     /** Warm up, then measure the average over `batches` batches. */
     RunStats measure(unsigned batch_size, unsigned warmup_batches,

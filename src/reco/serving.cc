@@ -92,22 +92,22 @@ BatchScheduler::dispatchOne()
     Tick dispatch = eq.now();
 
     // Fuse queries from the head of the queue, never splitting one.
-    auto members = std::make_shared<std::vector<PendingQuery>>();
+    std::vector<PendingQuery> members;
     unsigned samples = 0;
     unsigned tables = 0;
     double weighted_scale = 0.0;
     while (!pending_.empty()) {
         unsigned next = pending_.front().shape.batchSize;
-        if (!members->empty() && samples + next > policy_.maxBatchSamples)
+        if (!members.empty() && samples + next > policy_.maxBatchSamples)
             break;
         // Tenant-aware formation: never fuse incompatible shapes (a
         // co-rider with heavier pooling or wider table fan-out would
         // inflate everyone's service time).
-        if (policy_.tenantAware && !members->empty() &&
+        if (policy_.tenantAware && !members.empty() &&
             (pending_.front().shape.tablesTouched !=
-                 members->front().shape.tablesTouched ||
+                 members.front().shape.tablesTouched ||
              pending_.front().shape.poolingScale !=
-                 members->front().shape.poolingScale))
+                 members.front().shape.poolingScale))
             break;
         PendingQuery p = std::move(pending_.front());
         pending_.pop_front();
@@ -115,7 +115,7 @@ BatchScheduler::dispatchOne()
         samples += next;
         tables = std::max(tables, p.shape.tablesTouched);
         weighted_scale += static_cast<double>(next) * p.shape.poolingScale;
-        members->push_back(std::move(p));
+        members.push_back(std::move(p));
         if (samples >= policy_.maxBatchSamples)
             break;
     }
@@ -131,7 +131,7 @@ BatchScheduler::dispatchOne()
     if (Tracer *tracer = tracerOf(eq)) {
         fused.traceId = tracer->newRequestId();
         TrackId sched = tracer->track("scheduler");
-        for (const auto &m : *members) {
+        for (const auto &m : members) {
             tracer->span(sched, "sched_queue", Phase::SchedQueue, m.traceId,
                          m.arrival, dispatch);
             tracer->setRequestParent(m.traceId, fused.traceId);
@@ -141,11 +141,11 @@ BatchScheduler::dispatchOne()
     ++inFlight_;
     ++dispatched_;
     dispatchedSamples_ += samples;
-    runner_.launchQueryEx(fused, [this, members, dispatch](Tick,
-                                                           bool degraded) {
+    runner_.launchQueryEx(fused, [this, members = std::move(members),
+                                  dispatch](Tick, bool degraded) {
         Tick complete = runner_.sys().eq().now();
         Tracer *tracer = tracerOf(runner_.sys().eq());
-        for (auto &m : *members) {
+        for (const auto &m : members) {
             if (tracer)
                 tracer->end(m.rootSpan);
             QueryTimes t;

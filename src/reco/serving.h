@@ -30,10 +30,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <vector>
 
+#include "src/common/inline_function.h"
 #include "src/load/latency_recorder.h"
 #include "src/load/load_gen.h"
 #include "src/load/update_stream.h"
@@ -86,7 +86,7 @@ struct BatchPolicy
 class BatchScheduler
 {
   public:
-    using QueryDone = std::function<void(const QueryTimes &)>;
+    using QueryDone = InlineFunction<void(const QueryTimes &)>;
 
     BatchScheduler(ModelRunner &runner, const BatchPolicy &policy);
 
@@ -320,7 +320,7 @@ class ServeStream
 {
   public:
     using Submit =
-        std::function<void(const QueryShape &, BatchScheduler::QueryDone)>;
+        InlineFunction<void(const QueryShape &, BatchScheduler::QueryDone)>;
 
     /**
      * @param tenant Stamped on every query shape and row update (0 for

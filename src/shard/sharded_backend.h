@@ -57,6 +57,7 @@
 
 #include "src/cache/host_embedding_cache.h"
 #include "src/common/event_queue.h"
+#include "src/common/inline_function.h"
 #include "src/embedding/sls_backend.h"
 #include "src/host/host_cpu.h"
 #include "src/load/latency_recorder.h"
@@ -72,7 +73,7 @@ class ShardedSlsBackend : public SlsBackend
 {
   public:
     /** Completion with the per-op degraded flag. */
-    using DoneEx = std::function<void(SlsResult, bool degraded)>;
+    using DoneEx = InlineFunction<void(SlsResult, bool degraded)>;
 
     /**
      * @param inner One backend per shard, in shard order; each must be

@@ -19,6 +19,11 @@
  * stored by reference, so a warm GC relocation allocates no page-sized
  * buffer and a warm packed-row update allocates exactly one (its
  * read-modify-write copy).
+ *
+ * A served query's completions, from the batch scheduler down through
+ * the model runner, the shard gather and the per-device backends, are
+ * move-only callbacks whose large captures live in the reused spill
+ * pool, so a warm query allocates only its own data.
  */
 
 #include <gtest/gtest.h>
@@ -36,6 +41,7 @@
 #include "src/flash/flash_array.h"
 #include "src/ftl/ftl.h"
 #include "src/ndp/sls_engine.h"
+#include "src/reco/serving.h"
 #include "src/trace/trace_gen.h"
 #include "tests/test_helpers.h"
 
@@ -428,6 +434,65 @@ TEST(AllocRegression, WarmDriverCommandsAllocateOnlyTheirBuffers)
     EXPECT_EQ(chain.config, device.config + 2)
         << "SLS config: serialize() plus its shared page";
     EXPECT_EQ(chain.result, device.result) << "SLS result";
+}
+
+TEST(AllocRegression, WarmServedQueryAllocatesNoCallbackBlocks)
+{
+    // Four row-range SSDs: every table's op scatters into four NDP
+    // sub-ops and gathers on the host.
+    SystemConfig cfg = test::smallSystem();
+    cfg.shard.numShards = 4;
+    cfg.shard.policy = ShardPolicy::RowRange;
+    System sys(cfg);
+    ModelConfig model;
+    model.name = "tiny";
+    model.tables = {TableGroup{2, 50'000, 16, 8}};
+    model.denseInputs = 8;
+    model.bottomMlp = {16, 8};
+    model.topMlp = {32, 1};
+    RunnerOptions opt;
+    opt.backend = EmbeddingBackendKind::Ndp;
+    opt.forceAllTablesOnSsd = true;
+    ModelRunner runner(sys, model, opt);
+    BatchPolicy policy;
+    policy.maxBatchSamples = 4;  // one query per fused batch
+    policy.maxWait = 0;
+    BatchScheduler scheduler(runner, policy);
+
+    unsigned completed = 0;
+    auto serve = [&](unsigned queries) {
+        const std::uint64_t before = allocations;
+        for (unsigned i = 0; i < queries; ++i) {
+            scheduler.submit(QueryShape{4}, [&completed](const QueryTimes &) {
+                ++completed;
+            });
+        }
+        sys.run();
+        return allocations - before;
+    };
+
+    // Warm-up: grows the kernel, record and spill pools to the
+    // high-water mark of this submission pattern.
+    constexpr unsigned kQueries = 8;
+    serve(kQueries);
+    serve(kQueries);
+    const std::uint64_t allocs = serve(kQueries);
+    ASSERT_EQ(completed, 3 * kQueries);
+    // One op per table per sub-batch.
+    ASSERT_EQ(runner.shardedBackend()->scatteredOps(),
+              3 * kQueries * opt.subBatches * 2)
+        << "every table op must scatter";
+
+    // What a warm query still allocates is its data: the batch and
+    // sub-batch states, dense inputs and pooled results, each op's
+    // index lists, gather and sub-op states, and each SLS command's
+    // config payload and result. The bound is that count, exactly: a
+    // completion stored on the heap instead of inline or in the pool
+    // (a std::function holding a shared_ptr capture, say) exceeds it.
+    constexpr std::uint64_t kMaxAllocations = 5913;
+    RecordProperty("allocations", static_cast<int>(allocs));
+    EXPECT_LE(allocs, kMaxAllocations)
+        << allocs << " allocations over " << kQueries << " queries";
 }
 
 }  // namespace

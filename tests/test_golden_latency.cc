@@ -63,7 +63,8 @@ totalLatency(EmbeddingBackendKind backend, bool cache_or_partition,
 
     Tick total = 0;
     for (int b = 0; b < 4; ++b) {
-        runner.launchBatch(8, [&](Tick latency) { total += latency; });
+        runner.launchQuery(QueryShape{8},
+                           [&](Tick latency) { total += latency; });
         sys.run();
     }
     return total;

@@ -57,7 +57,7 @@ runNdp(const SystemConfig &cfg)
 
     RunArtifacts out;
     for (int b = 0; b < 4; ++b) {
-        runner.launchBatch(8, [&](Tick latency) {
+        runner.launchQuery(QueryShape{8}, [&](Tick latency) {
             out.totalLatency += latency;
         });
         sys.run();
@@ -144,7 +144,8 @@ TEST(LayoutDifferential, GoldenFreqSnapshotOnK1Trace)
     // it, and serve later batches from the pinned DRAM copies.
     Tick total = 0;
     for (int b = 0; b < 24; ++b) {
-        runner.launchBatch(8, [&](Tick latency) { total += latency; });
+        runner.launchQuery(QueryShape{8},
+                           [&](Tick latency) { total += latency; });
         sys.run();
     }
 

@@ -111,7 +111,10 @@ struct EngineParamCase
 {
     std::uint32_t dim;
     std::uint32_t attrBytes;
-    bool packed;
+    // A full word rather than bool so the struct has no padding: gtest
+    // prints the raw bytes into the test name, and padding bytes are
+    // indeterminate, which made the names change from build to build.
+    std::uint32_t packed;
     unsigned batch;
     unsigned lookups;
 };
