@@ -60,12 +60,55 @@
 #      under the sanitizers that also proves the rejection paths
 #      clean. Stage 2 runs it once in the main build.
 #      RECSSD_SKIP_SANITIZERS=1 skips this stage (hosts without ASan).
+# Opt-in, not part of the default run: `scripts/ci.sh --coverage`
+# builds the tree at -O0 --coverage into build-coverage, runs the full
+# ctest there, and lists every src/ function that never ran, read from
+# plain gcov (no lcov). Its output goes to stdout only.
 # The main build is configured with -DRECSSD_WERROR=ON: the tier-1
 # tree must compile warning-clean under -Wall -Wextra -Werror.
 # Pass a generator via CMAKE_GENERATOR if you want Ninja; the default
 # works everywhere.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+if [[ "${1:-}" == "--coverage" ]]; then
+    echo "=== coverage leg: src/ functions no ctest runs (-O0 --coverage) ==="
+    cmake -B build-coverage -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS="-O0 --coverage" \
+        -DCMAKE_EXE_LINKER_FLAGS="--coverage"
+    cmake --build build-coverage -j "$(nproc)"
+    find build-coverage -name '*.gcda' -delete
+    # A failing test still leaves its counts; report the failure, then
+    # list what ran.
+    ctest --test-dir build-coverage --output-on-failure -j "$(nproc)" ||
+        echo "coverage leg: some tests failed (counts kept)"
+    # A function (one source line) counts as run if any translation
+    # unit that emitted it ran any instantiation of it: an inline
+    # function has counters in every including unit, test units too,
+    # and the linker keeps only one unit's copy.
+    (cd build-coverage && find . -name '*.gcda' -print0 |
+        xargs -0 gcov --json-format --stdout) |
+        python3 -c '
+import json, os, sys
+root = os.getcwd() + "/src/"
+runs, names = {}, {}
+for line in sys.stdin:
+    for f in json.loads(line)["files"]:
+        path = os.path.normpath(os.path.join(root, "..", f["file"]))
+        if not path.startswith(root):
+            continue
+        for fn in f["functions"]:
+            key = (path[len(root) - 4:], fn["start_line"])
+            runs[key] = runs.get(key, 0) + fn["execution_count"]
+            names[key] = min(names.get(key, fn["demangled_name"]),
+                             fn["demangled_name"], key=len)
+never = sorted(k for k, n in runs.items() if n == 0)
+for path, line in never:
+    print(f"{path}:{line}: {names[path, line]}")
+print(f"coverage leg: {len(never)} of {len(runs)} src/ functions never ran")
+'
+    exit 0
+fi
 
 cmake -B build -S . -DRECSSD_WERROR=ON
 

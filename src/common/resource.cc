@@ -37,12 +37,6 @@ PoolResource::PoolResource(EventQueue &eq, std::string name, unsigned servers)
 }
 
 Tick
-PoolResource::earliestFree() const
-{
-    return *std::min_element(freeAt_.begin(), freeAt_.end());
-}
-
-Tick
 PoolResource::acquire(Tick service, EventQueue::Callback &&done)
 {
     auto it = std::min_element(freeAt_.begin(), freeAt_.end());

@@ -77,9 +77,6 @@ class PoolResource
     unsigned servers() const { return static_cast<unsigned>(freeAt_.size()); }
     Tick busyTime() const { return busy_; }
 
-    /** Earliest tick at which any server is free. */
-    Tick earliestFree() const;
-
     const std::string &name() const { return name_; }
 
   private:

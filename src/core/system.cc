@@ -1,6 +1,6 @@
 #include "src/core/system.h"
 
-#include <iomanip>
+#include <cstdint>
 #include <ostream>
 #include <string>
 
@@ -14,46 +14,145 @@ namespace recssd
 namespace
 {
 
-/**
- * The cross-device aggregates of a multi-SSD system, in registration
- * (metrics column) order. Each sums one per-device counter that
- * `registerDevice` also exports as "ssd<d>.<group>.<name>";
- * `auditStatConsistency` checks the two agree.
- */
-struct Aggregate
+/** When a device counter's column exists, and what it reads. */
+enum class Scope : std::uint8_t
 {
-    const char *group;
-    const char *name;
-    double (*perDevice)(Ssd &ssd, UnvmeDriver &driver);
+    Device,     ///< every device
+    Summed,     ///< every device, plus a cross-device sum (multi-SSD)
+    Layout,     ///< freq-layout systems; 0 without a layout manager
+    Injector,   ///< fault-mode systems; 0 without a fault injector
+    FaultMode,  ///< fault-mode systems; the device counter everywhere
 };
 
-constexpr Aggregate kAggregates[] = {
-    {"flash", "page_reads",
+/**
+ * One per-device counter, exported as "<group>.<name>" (single SSD) or
+ * "ssd<d>.<group>.<name>". Layout and fault columns exist only when
+ * some device runs the freq policy or an armed injector, so other
+ * configs export byte-identical stats; then every device registers
+ * them, so each exports the same metrics columns.
+ */
+struct DeviceCounter
+{
+    Scope scope;
+    const char *group;
+    const char *name;
+    double (*get)(Ssd &ssd, UnvmeDriver &driver);
+};
+
+/** Every device counter, in registration (metrics column) order. */
+constexpr DeviceCounter kDeviceCounters[] = {
+    {Scope::Summed, "flash", "page_reads",
      [](Ssd &s, UnvmeDriver &) { return double(s.flash().pageReads()); }},
-    {"flash", "page_writes",
+    {Scope::Summed, "flash", "page_writes",
      [](Ssd &s, UnvmeDriver &) { return double(s.flash().pageWrites()); }},
-    {"flash", "block_erases",
+    {Scope::Summed, "flash", "block_erases",
      [](Ssd &s, UnvmeDriver &) { return double(s.flash().blockErases()); }},
-    {"flash", "read_retries",
+    {Scope::Summed, "flash", "read_retries",
      [](Ssd &s, UnvmeDriver &) { return double(s.flash().readRetries()); }},
-    {"ftl", "host_reads",
+    {Scope::Summed, "ftl", "host_reads",
      [](Ssd &s, UnvmeDriver &) { return double(s.ftl().hostReads()); }},
-    {"ftl", "host_writes",
+    {Scope::Summed, "ftl", "host_writes",
      [](Ssd &s, UnvmeDriver &) { return double(s.ftl().hostWrites()); }},
-    {"sls", "requests",
+    {Scope::Device, "ftl", "host_trims",
+     [](Ssd &s, UnvmeDriver &) { return double(s.ftl().hostTrims()); }},
+    {Scope::Device, "ftl", "gc_runs",
+     [](Ssd &s, UnvmeDriver &) { return double(s.ftl().gcRuns()); }},
+    {Scope::Device, "ftl", "gc_pages_migrated",
+     [](Ssd &s, UnvmeDriver &) { return double(s.ftl().gcPagesMigrated()); }},
+    {Scope::Device, "ftl.page_cache", "hits",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().pageCache().hits());
+     }},
+    {Scope::Device, "ftl.page_cache", "misses",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().pageCache().misses());
+     }},
+    {Scope::Device, "ftl.cpu", "busy_us",
+     [](Ssd &s, UnvmeDriver &) {
+         return ticksToUs(s.ftl().cpu().busyTime());
+     }},
+    {Scope::Summed, "sls", "requests",
      [](Ssd &s, UnvmeDriver &) { return double(s.slsEngine().requests()); }},
-    {"sls", "flash_pages_read",
+    {Scope::Summed, "sls", "flash_pages_read",
      [](Ssd &s, UnvmeDriver &) {
          return double(s.slsEngine().flashPagesRead());
      }},
-    {"nvme", "commands",
+    {Scope::Device, "sls", "page_cache_hits",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.slsEngine().pageCacheHits());
+     }},
+    {Scope::Device, "sls", "embed_cache_hits",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.slsEngine().embedCacheHits());
+     }},
+    {Scope::Layout, "layout", "promotions",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->promotions());
+     }},
+    {Scope::Layout, "layout", "demotions",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->demotions());
+     }},
+    {Scope::Layout, "layout", "migrated_pages",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->migratedPages());
+     }},
+    {Scope::Layout, "layout", "read_pins",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->readPins());
+     }},
+    {Scope::Layout, "layout", "hot_pages_allocated",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().blocks().hotPagesAllocated());
+     }},
+    {Scope::Layout, "layout.hot_tier", "hits",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->tier().hits());
+     }},
+    {Scope::Layout, "layout.hot_tier", "misses",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->tier().misses());
+     }},
+    {Scope::Layout, "layout.hot_tier", "resident",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.ftl().layout()->tier().resident());
+     }},
+    {Scope::Layout, "sls", "hot_tier_hits",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.slsEngine().hotTierHits());
+     }},
+    {Scope::Summed, "nvme", "commands",
      [](Ssd &s, UnvmeDriver &) {
          return double(s.controller().commandsProcessed());
      }},
-    {"pcie", "bytes_moved",
+    {Scope::Summed, "pcie", "bytes_moved",
      [](Ssd &s, UnvmeDriver &) { return double(s.pcie().bytesMoved()); }},
-    {"driver", "commands",
+    {Scope::Device, "pcie", "busy_us",
+     [](Ssd &s, UnvmeDriver &) { return ticksToUs(s.pcie().busyTime()); }},
+    {Scope::Summed, "driver", "commands",
      [](Ssd &, UnvmeDriver &drv) { return double(drv.commandsIssued()); }},
+    {Scope::Injector, "fault", "die_stalls",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.faultInjector()->dieStalls());
+     }},
+    {Scope::Injector, "fault", "fw_pauses",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.faultInjector()->firmwarePauses());
+     }},
+    {Scope::Injector, "fault", "inflation_windows",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.faultInjector()->inflationWindows());
+     }},
+    {Scope::Injector, "fault", "dropouts",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.faultInjector()->dropouts());
+     }},
+    {Scope::FaultMode, "fault", "inflated_reads",
+     [](Ssd &s, UnvmeDriver &) { return double(s.flash().inflatedReads()); }},
+    {Scope::FaultMode, "fault", "dropped_commands",
+     [](Ssd &s, UnvmeDriver &) {
+         return double(s.controller().droppedCommands());
+     }},
 };
 
 }  // namespace
@@ -111,132 +210,36 @@ System::enableUtilization(Tick bucket)
 
 void
 System::registerDevice(unsigned d, const std::string &prefix,
-                       bool force_layout, bool force_fault)
+                       bool layout_columns, bool fault_columns)
 {
-    auto u64 = [](auto get) {
-        return [get]() { return static_cast<double>(get()); };
-    };
     StatRegistry &r = registry_;
     Ssd *ssd = ssds_[d].get();
     UnvmeDriver *drv = drivers_[d].get();
     QueueAllocator *qa = queueAllocs_[d].get();
 
-    r.addScalar(prefix + "flash", "page_reads",
-                u64([ssd]() { return ssd->flash().pageReads(); }));
-    r.addScalar(prefix + "flash", "page_writes",
-                u64([ssd]() { return ssd->flash().pageWrites(); }));
-    r.addScalar(prefix + "flash", "block_erases",
-                u64([ssd]() { return ssd->flash().blockErases(); }));
-    r.addScalar(prefix + "flash", "read_retries",
-                u64([ssd]() { return ssd->flash().readRetries(); }));
-
-    r.addScalar(prefix + "ftl", "host_reads",
-                u64([ssd]() { return ssd->ftl().hostReads(); }));
-    r.addScalar(prefix + "ftl", "host_writes",
-                u64([ssd]() { return ssd->ftl().hostWrites(); }));
-    r.addScalar(prefix + "ftl", "host_trims",
-                u64([ssd]() { return ssd->ftl().hostTrims(); }));
-    r.addScalar(prefix + "ftl", "gc_runs",
-                u64([ssd]() { return ssd->ftl().gcRuns(); }));
-    r.addScalar(prefix + "ftl", "gc_pages_migrated",
-                u64([ssd]() { return ssd->ftl().gcPagesMigrated(); }));
-    r.addScalar(prefix + "ftl.page_cache", "hits",
-                u64([ssd]() { return ssd->ftl().pageCache().hits(); }));
-    r.addScalar(prefix + "ftl.page_cache", "misses",
-                u64([ssd]() { return ssd->ftl().pageCache().misses(); }));
-    r.addScalar(prefix + "ftl.cpu", "busy_us", [ssd]() {
-        return ticksToUs(ssd->ftl().cpu().busyTime());
-    });
-
-    r.addScalar(prefix + "sls", "requests",
-                u64([ssd]() { return ssd->slsEngine().requests(); }));
-    r.addScalar(prefix + "sls", "flash_pages_read",
-                u64([ssd]() { return ssd->slsEngine().flashPagesRead(); }));
-    r.addScalar(prefix + "sls", "page_cache_hits",
-                u64([ssd]() { return ssd->slsEngine().pageCacheHits(); }));
-    r.addScalar(prefix + "sls", "embed_cache_hits",
-                u64([ssd]() { return ssd->slsEngine().embedCacheHits(); }));
-
-    // Layout counters exist only when the frequency-aware policy is
-    // active, so log-policy configs export byte-identical stats JSON
-    // (same pattern as the fault counters below). In a mixed system
-    // where *any* device runs the policy, devices without it register
-    // zero-valued columns so every device exports the same JSONL
-    // schema and rows stay aligned.
-    const LayoutManager *lay = ssd->ftl().layout();
-    if (lay || force_layout) {
-        auto layU64 = [lay, u64](auto get) -> StatRegistry::Getter {
-            if (!lay)
-                return []() { return 0.0; };
-            return u64(get);
-        };
-        r.addScalar(prefix + "layout", "promotions",
-                    layU64([lay]() { return lay->promotions(); }));
-        r.addScalar(prefix + "layout", "demotions",
-                    layU64([lay]() { return lay->demotions(); }));
-        r.addScalar(prefix + "layout", "migrated_pages",
-                    layU64([lay]() { return lay->migratedPages(); }));
-        r.addScalar(prefix + "layout", "read_pins",
-                    layU64([lay]() { return lay->readPins(); }));
-        r.addScalar(prefix + "layout", "hot_pages_allocated",
-                    layU64([ssd]() {
-                        return ssd->ftl().blocks().hotPagesAllocated();
-                    }));
-        r.addScalar(prefix + "layout.hot_tier", "hits",
-                    layU64([lay]() { return lay->tier().hits(); }));
-        r.addScalar(prefix + "layout.hot_tier", "misses",
-                    layU64([lay]() { return lay->tier().misses(); }));
-        r.addScalar(prefix + "layout.hot_tier", "resident",
-                    layU64([lay]() { return lay->tier().resident(); }));
-        r.addScalar(prefix + "sls", "hot_tier_hits", layU64([ssd]() {
-            return ssd->slsEngine().hotTierHits();
-        }));
-    }
-
-    r.addScalar(prefix + "nvme", "commands",
-                u64([ssd]() { return ssd->controller().commandsProcessed(); }));
-    r.addScalar(prefix + "pcie", "bytes_moved",
-                u64([ssd]() { return ssd->pcie().bytesMoved(); }));
-    r.addScalar(prefix + "pcie", "busy_us",
-                [ssd]() { return ticksToUs(ssd->pcie().busyTime()); });
-
-    r.addScalar(prefix + "driver", "commands",
-                u64([drv]() { return drv->commandsIssued(); }));
-
-    // Fault counters exist only on devices with an armed injector, so
-    // fault-free configs export byte-identical stats JSON. Fault-mode
-    // runs register the columns on *every* device (zero-valued where
-    // no injector is armed): a plan targeting only ssd1 used to leave
-    // ssd0.fault.* missing from JSONL output entirely.
-    const FaultInjector *fi = ssd->faultInjector();
-    if (fi || force_fault) {
-        auto fiU64 = [fi, u64](auto get) -> StatRegistry::Getter {
-            if (!fi)
-                return []() { return 0.0; };
-            return u64(get);
-        };
-        r.addScalar(prefix + "fault", "die_stalls",
-                    fiU64([fi]() { return fi->dieStalls(); }));
-        r.addScalar(prefix + "fault", "fw_pauses",
-                    fiU64([fi]() { return fi->firmwarePauses(); }));
-        r.addScalar(prefix + "fault", "inflation_windows",
-                    fiU64([fi]() { return fi->inflationWindows(); }));
-        r.addScalar(prefix + "fault", "dropouts",
-                    fiU64([fi]() { return fi->dropouts(); }));
-        r.addScalar(prefix + "fault", "inflated_reads",
-                    u64([ssd]() { return ssd->flash().inflatedReads(); }));
-        r.addScalar(prefix + "fault", "dropped_commands", u64([ssd]() {
-            return ssd->controller().droppedCommands();
-        }));
+    for (const DeviceCounter &c : kDeviceCounters) {
+        bool layout = c.scope == Scope::Layout;
+        bool fault = c.scope == Scope::Injector || c.scope == Scope::FaultMode;
+        if ((layout && !layout_columns) || (fault && !fault_columns))
+            continue;
+        bool absent = (layout && !ssd->ftl().layout()) ||
+                      (c.scope == Scope::Injector && !ssd->faultInjector());
+        if (absent)
+            r.addScalar(prefix + c.group, c.name, []() { return 0.0; });
+        else
+            r.addScalar(prefix + c.group, c.name,
+                        [get = c.get, ssd, drv]() { return get(*ssd, *drv); });
     }
 
     for (unsigned q = 0; q < drv->numQueues(); ++q) {
         std::string group = prefix + "driver.queue" + std::to_string(q);
-        r.addScalar(group, "commands",
-                    u64([drv, q]() { return drv->commandsOnQueue(q); }));
+        r.addScalar(group, "commands", [drv, q]() {
+            return static_cast<double>(drv->commandsOnQueue(q));
+        });
         r.addGauge(group, "depth", &drv->queuePair(q).depthGauge());
-        r.addScalar(group, "grants",
-                    u64([qa, q]() { return qa->grantsOn(q); }));
+        r.addScalar(group, "grants", [qa, q]() {
+            return static_cast<double>(qa->grantsOn(q));
+        });
     }
 }
 
@@ -273,8 +276,10 @@ System::buildRegistry()
             registerDevice(d, "ssd" + std::to_string(d) + ".", any_layout,
                            any_fault);
 
-        for (const Aggregate &a : kAggregates) {
-            r.addScalar(a.group, a.name, [this, get = a.perDevice]() {
+        for (const DeviceCounter &c : kDeviceCounters) {
+            if (c.scope != Scope::Summed)
+                continue;
+            r.addScalar(c.group, c.name, [this, get = c.get]() {
                 double total = 0.0;
                 for (unsigned d = 0; d < numSsds(); ++d)
                     total += get(*ssds_[d], *drivers_[d]);
@@ -293,8 +298,10 @@ System::auditStatConsistency() const
     // The aggregate scalars registered for multi-SSD systems must
     // equal the sum over the per-device "ssd<d>." subtrees.  Stats are
     // integral counters surfaced as doubles, so exact compare is safe.
-    for (const Aggregate &a : kAggregates) {
-        const std::string name = std::string(a.group) + "." + a.name;
+    for (const DeviceCounter &c : kDeviceCounters) {
+        if (c.scope != Scope::Summed)
+            continue;
+        const std::string name = std::string(c.group) + "." + c.name;
         double total = registry_.valueOf(name);
         double summed = 0.0;
         for (unsigned d = 0; d < numSsds(); ++d)
@@ -346,93 +353,6 @@ System::installTable(std::uint64_t rows, std::uint32_t dim,
             recssd::installTable(ssds_[rep.shard]->ftl(), rep.desc);
     }
     return st.global;
-}
-
-void
-System::dumpStats(std::ostream &os)
-{
-    Tick now = eq_.now();
-    auto line = [&os](const std::string &name, std::uint64_t v) {
-        os << "  " << std::left << std::setw(36) << name << v << "\n";
-    };
-    auto util = [&os, now](const std::string &name, double v) {
-        os << "  " << std::left << std::setw(36) << name << v << "\n";
-    };
-    auto pct = [now](Tick busy) {
-        return 100.0 * static_cast<double>(busy) / static_cast<double>(now);
-    };
-
-    auto device = [&](unsigned d, const std::string &p) {
-        Ssd *ssd = ssds_[d].get();
-        UnvmeDriver *drv = drivers_[d].get();
-        QueueAllocator *qa = queueAllocs_[d].get();
-        line(p + "flash.pageReads", ssd->flash().pageReads());
-        line(p + "flash.pageWrites", ssd->flash().pageWrites());
-        line(p + "flash.blockErases", ssd->flash().blockErases());
-        line(p + "ftl.hostReads", ssd->ftl().hostReads());
-        line(p + "ftl.hostWrites", ssd->ftl().hostWrites());
-        line(p + "ftl.hostTrims", ssd->ftl().hostTrims());
-        line(p + "ftl.gcRuns", ssd->ftl().gcRuns());
-        line(p + "ftl.gcPagesMigrated", ssd->ftl().gcPagesMigrated());
-        line(p + "ftl.pageCache.hits", ssd->ftl().pageCache().hits());
-        line(p + "ftl.pageCache.misses", ssd->ftl().pageCache().misses());
-        line(p + "sls.requests", ssd->slsEngine().requests());
-        line(p + "sls.flashPagesRead", ssd->slsEngine().flashPagesRead());
-        line(p + "sls.pageCacheHits", ssd->slsEngine().pageCacheHits());
-        line(p + "sls.embedCacheHits", ssd->slsEngine().embedCacheHits());
-        if (const LayoutManager *lay = ssd->ftl().layout()) {
-            line(p + "layout.promotions", lay->promotions());
-            line(p + "layout.demotions", lay->demotions());
-            line(p + "layout.migratedPages", lay->migratedPages());
-            line(p + "layout.readPins", lay->readPins());
-            line(p + "layout.hotPagesAllocated",
-                 ssd->ftl().blocks().hotPagesAllocated());
-            line(p + "layout.hotTier.hits", lay->tier().hits());
-            line(p + "layout.hotTier.misses", lay->tier().misses());
-            line(p + "layout.hotTier.resident", lay->tier().resident());
-            line(p + "sls.hotTierHits", ssd->slsEngine().hotTierHits());
-        }
-        line(p + "nvme.commands", ssd->controller().commandsProcessed());
-        line(p + "pcie.bytesMoved", ssd->pcie().bytesMoved());
-        line(p + "driver.commands", drv->commandsIssued());
-        if (const FaultInjector *fi = ssd->faultInjector()) {
-            line(p + "fault.dieStalls", fi->dieStalls());
-            line(p + "fault.fwPauses", fi->firmwarePauses());
-            line(p + "fault.inflationWindows", fi->inflationWindows());
-            line(p + "fault.dropouts", fi->dropouts());
-            line(p + "fault.inflatedReads", ssd->flash().inflatedReads());
-            line(p + "fault.droppedCommands",
-                 ssd->controller().droppedCommands());
-        }
-        for (unsigned q = 0; q < drv->numQueues(); ++q) {
-            std::string prefix = p + "driver.queue" + std::to_string(q);
-            line(prefix + ".commands", drv->commandsOnQueue(q));
-            line(prefix + ".maxDepth", drv->queuePair(q).maxOutstanding());
-            line(prefix + ".grants", qa->grantsOn(q));
-        }
-    };
-
-    os << "==== system stats @ " << ticksToMs(now) << "ms ====\n";
-    if (numSsds() == 1) {
-        device(0, "");
-        if (now > 0) {
-            util("ftl.cpu.util%", pct(ssds_[0]->ftl().cpu().busyTime()));
-            util("pcie.util%", pct(ssds_[0]->pcie().busyTime()));
-            util("host.cores.util%", pct(cpu_->busyTime()) / cpu_->cores());
-        }
-        return;
-    }
-
-    for (unsigned d = 0; d < numSsds(); ++d) {
-        std::string p = "ssd" + std::to_string(d) + ".";
-        device(d, p);
-        if (now > 0) {
-            util(p + "ftl.cpu.util%", pct(ssds_[d]->ftl().cpu().busyTime()));
-            util(p + "pcie.util%", pct(ssds_[d]->pcie().busyTime()));
-        }
-    }
-    if (now > 0)
-        util("host.cores.util%", pct(cpu_->busyTime()) / cpu_->cores());
 }
 
 void

@@ -109,9 +109,6 @@ class System
      */
     Tick run();
 
-    /** Dump every component's statistics (counters, utilization). */
-    void dumpStats(std::ostream &os);
-
     /** @{ Observability. */
 
     /** The system-wide span tracer (disabled until enableTracing). */
@@ -171,13 +168,14 @@ class System
     void auditStatConsistency() const;
 
     /**
-     * Register device d's component stats under `prefix`. The force
-     * flags register zero-valued layout.* / fault.* columns even on
-     * devices missing the component, so every device in a fault- or
-     * layout-mode run exports the same JSONL columns.
+     * Register device d's row of the device counter table, then its
+     * per-queue stats, under `prefix`. The column flags register the
+     * layout.* / fault.* columns (zero-valued where the device lacks
+     * the component), so every device in a fault- or layout-mode run
+     * exports the same JSONL columns.
      */
     void registerDevice(unsigned d, const std::string &prefix,
-                        bool force_layout, bool force_fault);
+                        bool layout_columns, bool fault_columns);
 
     SystemConfig config_;
     EventQueue eq_;

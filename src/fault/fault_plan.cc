@@ -135,18 +135,6 @@ parseElement(FaultPlan &plan, std::string element)
 
 }  // namespace
 
-const char *
-faultKindName(FaultKind kind)
-{
-    switch (kind) {
-      case FaultKind::DieStall:      return "die_stall";
-      case FaultKind::FirmwarePause: return "fw_pause";
-      case FaultKind::ReadInflation: return "read_inflation";
-      case FaultKind::DeviceDropout: return "dropout";
-    }
-    return "?";
-}
-
 FaultPlan
 FaultPlan::parse(const std::string &spec)
 {

@@ -49,9 +49,6 @@ enum class FaultKind
     DeviceDropout,  ///< controller dead from `at` onward
 };
 
-/** Stable short name used in stats, traces and reports. */
-const char *faultKindName(FaultKind kind);
-
 /** One injected misbehavior on one device. */
 struct FaultScenario
 {

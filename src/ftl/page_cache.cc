@@ -37,17 +37,6 @@ PageCache::lookup(Lpn lpn, Ppn &ppn)
     return false;
 }
 
-bool
-PageCache::contains(Lpn lpn) const
-{
-    const Entry *set = &entries_[setOf(lpn) * ways_];
-    for (unsigned w = 0; w < ways_; ++w) {
-        if (set[w].lpn == lpn)
-            return true;
-    }
-    return false;
-}
-
 void
 PageCache::insert(Lpn lpn, Ppn ppn)
 {

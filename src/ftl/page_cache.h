@@ -37,9 +37,6 @@ class PageCache
      */
     bool lookup(Lpn lpn, Ppn &ppn) RECSSD_LIVE_LOOKUP;
 
-    /** Probe without updating LRU or hit/miss stats. */
-    bool contains(Lpn lpn) const;
-
     /** Insert (possibly evicting the set's LRU entry). */
     void insert(Lpn lpn, Ppn ppn);
 

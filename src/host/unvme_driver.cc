@@ -57,21 +57,6 @@ UnvmeDriver::UnvmeDriver(EventQueue &eq, HostCpu &cpu, HostController &ctrl,
     }
 }
 
-unsigned
-UnvmeDriver::pickQueue()
-{
-    for (unsigned i = 0; i < numQueues_; ++i) {
-        unsigned q = (rrNext_ + i) % numQueues_;
-        if (!queueBusy_[q]) {
-            rrNext_ = (q + 1) % numQueues_;
-            return q;
-        }
-    }
-    unsigned q = rrNext_;
-    rrNext_ = (rrNext_ + 1) % numQueues_;
-    return q;
-}
-
 NvmeCommand
 UnvmeDriver::enqueue(unsigned queue, const NvmeCommand &cmd)
 {

@@ -103,7 +103,7 @@ class UnvmeDriver
 
     std::uint64_t commandsIssued() const { return commands_.value(); }
 
-    /** @{ Per-queue accounting and round-robin dispatch. */
+    /** @{ Per-queue accounting. */
 
     /** Commands ever issued on one queue. */
     std::uint64_t commandsOnQueue(unsigned queue) const
@@ -116,17 +116,6 @@ class UnvmeDriver
     {
         return queuePairs_.at(queue)->outstanding();
     }
-
-    /** True while the sync API has a command in flight on the queue. */
-    bool queueBusy(unsigned queue) const { return queueBusy_.at(queue); }
-
-    /**
-     * Next queue in round-robin order, preferring idle queues: scans
-     * from the rotor for a free queue and falls back to the plain
-     * rotor position when every queue is busy (the caller must then
-     * wait, e.g. through the QueueAllocator, before submitting).
-     */
-    unsigned pickQueue();
     /** @} */
 
     /** The I/O worker thread bound to a queue (for extract work). */
@@ -210,7 +199,6 @@ class UnvmeDriver
     std::vector<std::unique_ptr<NvmeQueuePair>> queuePairs_;
     RecordPool<Command> inflight_;
     std::uint64_t nextRequestId_ = 1;
-    unsigned rrNext_ = 0;  ///< round-robin rotor for pickQueue()
 
     Counter commands_;
     std::vector<Counter> perQueueCommands_;

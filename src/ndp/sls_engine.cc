@@ -388,12 +388,7 @@ SlsEngine::packResults(const Entry &entry)
 {
     const SlsConfig &cfg = entry.cfg;
     std::size_t raw = std::size_t(cfg.numResults) * cfg.featureDim * 4;
-    // Results are packed into whole logical blocks (§4: "packing
-    // useful data together into returned logical blocks").
-    std::size_t page = ftl_.flash().params().pageSize;
-    std::size_t padded = (raw + page - 1) / page * page;
-    auto bytes = std::make_shared<std::vector<std::byte>>(padded,
-                                                          std::byte{0});
+    auto bytes = std::make_shared<std::vector<std::byte>>(raw);
     std::memcpy(bytes->data(), entry.results.data(), raw);
     return bytes;
 }
@@ -410,6 +405,11 @@ SlsEngine::maybeComplete(Entry &entry)
 
     ResultDone done = std::move(entry.readDone);
     DataStore::Page bytes = packResults(entry);
+    // Results travel in whole logical blocks (§4: "packing useful data
+    // together into returned logical blocks"); only the DMA length
+    // carries the padding.
+    std::uint64_t page = ftl_.flash().params().pageSize;
+    std::uint64_t dma_bytes = (bytes->size() + page - 1) / page * page;
 
     entry.timing.resultSent = eq_.now();
     lastTiming_ = entry.timing;
@@ -427,7 +427,7 @@ SlsEngine::maybeComplete(Entry &entry)
         admit(cmd, std::move(cb));
     }
 
-    done(std::move(bytes));
+    done(std::move(bytes), dma_bytes);
 }
 
 void

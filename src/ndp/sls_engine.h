@@ -229,7 +229,7 @@ class SlsEngine : public SlsHandler
     /** Gather scratch of `bytes` bytes, reused across pages. */
     std::span<std::byte> gatherScratch(std::size_t bytes);
 
-    /** Pack the scratchpad into page-aligned result bytes. */
+    /** Copy the scratchpad's result vectors into the result bytes. */
     DataStore::Page packResults(const Entry &entry);
 
     Lpn lpnOf(const Entry &entry, RowId row) const;

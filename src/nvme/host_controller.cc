@@ -217,28 +217,14 @@ HostController::slsReadExecute(std::uint32_t op)
     // Step 1b (Fig 7): register the host page request; the engine
     // calls back with packed result bytes when ready, which we then
     // DMA to the host.
-    sls_->resultRead(inflight_[op].cmd, [this, op](DataStore::Page bytes) {
+    sls_->resultRead(inflight_[op].cmd, [this, op](DataStore::Page bytes,
+                                                   std::uint64_t dma_bytes) {
         Command &rec = inflight_[op];
-        std::uint64_t size = bytes->size();
         rec.cmd.payload = std::move(bytes);
         pcie_.transfer(
-            size, [this, op]() { postCompletion(op); }, rec.cmd.traceId,
-            Phase::ResultDma);
+            dma_bytes, [this, op]() { postCompletion(op); },
+            rec.cmd.traceId, Phase::ResultDma);
     });
-}
-
-void
-HostController::dmaToHost(std::uint64_t bytes, EventQueue::Callback done,
-                          std::uint64_t trace_id)
-{
-    pcie_.transfer(bytes, std::move(done), trace_id, Phase::ResultDma);
-}
-
-void
-HostController::dmaFromHost(std::uint64_t bytes, EventQueue::Callback done,
-                            std::uint64_t trace_id)
-{
-    pcie_.transfer(bytes, std::move(done), trace_id);
 }
 
 }  // namespace recssd

@@ -52,8 +52,10 @@ class SlsHandler
 {
   public:
     using ConfigDone = EventQueue::Callback;
-    /** Receives the packed result bytes. */
-    using ResultDone = InlineFunction<void(DataStore::Page)>;
+    /** Receives the packed result bytes and the length the result DMA
+     *  moves (the bytes padded to whole logical blocks). */
+    using ResultDone =
+        InlineFunction<void(DataStore::Page, std::uint64_t dma_bytes)>;
 
     virtual ~SlsHandler() = default;
 
@@ -66,7 +68,7 @@ class SlsHandler
 
     /**
      * A result (read-like) SLS command arrived. Call `done` with the
-     * packed result bytes once they are ready to DMA.
+     * packed result bytes and their DMA length once they are ready.
      */
     virtual void resultRead(const NvmeCommand &cmd, ResultDone done) = 0;
 };
@@ -77,7 +79,7 @@ class HostController
     /** Completion of a data-read command (lazy page view). */
     using ReadDone = FlashArray::ReadCallback;
     using WriteDone = EventQueue::Callback;
-    using SlsReadDone = SlsHandler::ResultDone;
+    using SlsReadDone = InlineFunction<void(DataStore::Page)>;
 
     /** `track_prefix` namespaces the controller's trace track (multi-
      *  SSD systems pass "ssd<d>." so device spans stay separable). */
@@ -102,13 +104,6 @@ class HostController
 
     /** SLS result read (slsFlag set, read-like). */
     void submitSlsRead(const NvmeCommand &cmd, SlsReadDone done);
-    /** @} */
-
-    /** @{ DMA services used by the SLS engine (step 6 in Fig 7). */
-    void dmaToHost(std::uint64_t bytes, EventQueue::Callback done,
-                   std::uint64_t trace_id = 0);
-    void dmaFromHost(std::uint64_t bytes, EventQueue::Callback done,
-                     std::uint64_t trace_id = 0);
     /** @} */
 
     PcieLink &pcie() { return pcie_; }

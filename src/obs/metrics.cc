@@ -60,15 +60,6 @@ StatRegistry::addGauge(const std::string &group, const std::string &name,
               [g] { return static_cast<double>(g->highWater()); });
 }
 
-void
-StatRegistry::addSample(const std::string &group, const std::string &name,
-                        const SampleStat *s)
-{
-    addScalar(group, name + ".count",
-              [s] { return static_cast<double>(s->count()); });
-    addScalar(group, name + ".mean", [s] { return s->mean(); });
-}
-
 double
 StatRegistry::valueOf(const std::string &name) const
 {

@@ -55,9 +55,6 @@ class StatRegistry
                     const Counter *c) RECSSD_STAT_REGISTRATION;
     void addGauge(const std::string &group, const std::string &name,
                   const Gauge *g) RECSSD_STAT_REGISTRATION;
-    /** Registers `<name>.count` and `<name>.mean`. */
-    void addSample(const std::string &group, const std::string &name,
-                   const SampleStat *s) RECSSD_STAT_REGISTRATION;
     /** @} */
 
     std::size_t size() const { return names_.size(); }

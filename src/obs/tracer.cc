@@ -132,14 +132,6 @@ Tracer::rootOf(std::uint64_t req) const
     return it == roots_.end() ? nullptr : &spans_[it->second];
 }
 
-void
-Tracer::clear()
-{
-    spans_.clear();
-    roots_.clear();
-    open_ = 0;
-}
-
 namespace
 {
 

@@ -132,8 +132,6 @@ class Tracer
      */
     void writeChromeTrace(std::ostream &os) const;
 
-    void clear();
-
   private:
     EventQueue &eq_;
     bool enabled_ = false;

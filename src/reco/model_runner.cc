@@ -44,15 +44,11 @@ struct BatchState
     std::uint64_t traceId = 0;
     SpanId rootSpan = invalidSpan;
     unsigned subBatchesLeft = 0;
-    bool done = false;
-    Tick latency = 0;
     /** Shape of the query this batch executes. */
     unsigned tablesTouched = ~0u;
     double poolingScale = 1.0;
     /** Per-sub-batch functional pieces (kept for functionalMlp). */
     Matrix scores;
-    unsigned batchSize = 0;
-    unsigned scoresFilled = 0;
     /** Any SLS op answered degraded (deadline / dead-end fill). */
     bool degraded = false;
     /** Completion hook for launchQueryEx callers. */
@@ -254,7 +250,6 @@ ModelRunner::launchQueryEx(const QueryShape &shape,
             shape.traceId ? shape.traceId : tracer->newRequestId();
         batch->rootSpan = tracer->beginRequest("batch", batch->traceId);
     }
-    batch->batchSize = batch_size;
     batch->tablesTouched = shape.tablesTouched;
     batch->poolingScale = shape.poolingScale;
     batch->onDone = std::move(done);
@@ -346,17 +341,15 @@ ModelRunner::launchSubBatch(unsigned size, unsigned first_sample,
                 for (unsigned r = 0; r < state->size; ++r)
                     batch->scores.at(state->firstSample + r, 0) =
                         out.at(r, 0);
-                batch->scoresFilled += state->size;
             }
             if (--batch->subBatchesLeft == 0) {
-                batch->done = true;
-                batch->latency = sys_.eq().now() - batch->start;
+                Tick latency = sys_.eq().now() - batch->start;
                 if (Tracer *tracer = tracerOf(sys_.eq()))
                     tracer->end(batch->rootSpan);
                 if (options_.functionalMlp && topMlp_)
                     lastScores_ = batch->scores;
                 if (batch->onDone)
-                    batch->onDone(batch->latency, batch->degraded);
+                    batch->onDone(latency, batch->degraded);
             }
         });
     };

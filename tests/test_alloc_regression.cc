@@ -23,7 +23,8 @@
  * A served query's completions, from the batch scheduler down through
  * the model runner, the shard gather and the per-device backends, are
  * move-only callbacks whose large captures live in the reused spill
- * pool, so a warm query allocates only its own data.
+ * pool, so a warm query allocates only its own data, and no SLS result
+ * is padded to a page buffer.
  */
 
 #include <gtest/gtest.h>
@@ -371,6 +372,10 @@ TEST(AllocRegression, WarmDriverCommandsAllocateOnlyTheirBuffers)
         ++completions;
         last = eq.now();
     };
+    auto engine_done = [&result_done](DataStore::Page bytes,
+                                      std::uint64_t) {
+        result_done(std::move(bytes));
+    };
     auto allocs = [&](auto &&issue) {
         const std::uint64_t before = allocations;
         issue();
@@ -410,7 +415,7 @@ TEST(AllocRegression, WarmDriverCommandsAllocateOnlyTheirBuffers)
         NvmeCommand config = slsCommand(NvmeOpcode::Write, req);
         NvmeCommand result = slsCommand(NvmeOpcode::Read, req);
         c.config = allocs([&] { engine.configWrite(config, done); });
-        c.result = allocs([&] { engine.resultRead(result, result_done); });
+        c.result = allocs([&] { engine.resultRead(result, engine_done); });
         return c;
     };
 
@@ -476,7 +481,10 @@ TEST(AllocRegression, WarmServedQueryAllocatesNoCallbackBlocks)
     constexpr unsigned kQueries = 8;
     serve(kQueries);
     serve(kQueries);
+    PageAllocationScope scope(sys.config().ssd.flash.pageSize);
+    const std::uint64_t pages_before = pageAllocations;
     const std::uint64_t allocs = serve(kQueries);
+    const std::uint64_t pages = pageAllocations - pages_before;
     ASSERT_EQ(completed, 3 * kQueries);
     // One op per table per sub-batch.
     ASSERT_EQ(runner.shardedBackend()->scatteredOps(),
@@ -493,6 +501,10 @@ TEST(AllocRegression, WarmServedQueryAllocatesNoCallbackBlocks)
     RecordProperty("allocations", static_cast<int>(allocs));
     EXPECT_LE(allocs, kMaxAllocations)
         << allocs << " allocations over " << kQueries << " queries";
+    // An SLS result is its numResults x dim floats; only the result
+    // DMA's length is padded to whole pages.
+    EXPECT_EQ(pages, 0u) << pages << " page-sized allocations over "
+                         << kQueries << " queries";
 }
 
 }  // namespace

@@ -115,7 +115,9 @@ class RecordingHandler : public SlsHandler
     resultRead(const NvmeCommand &cmd, ResultDone done) override
     {
         reads.push_back(cmd);
-        done(std::make_shared<std::vector<std::byte>>(64, std::byte{0x7}));
+        // 64 result bytes, DMAed as one padded 4 KB block.
+        done(std::make_shared<std::vector<std::byte>>(64, std::byte{0x7}),
+             4096);
     }
 
     std::vector<NvmeCommand> configs;
@@ -150,10 +152,13 @@ TEST_F(ControllerTest, SlsCommandsDispatchToHandler)
     rd.slsFlag = true;
     rd.slba = 4242;
     DataStore::Page result;
+    std::uint64_t before = pcie_.bytesMoved();
     ctrl_.submitSlsRead(rd, [&](auto data) { result = data; });
     eq_.run();
     ASSERT_NE(result, nullptr);
     EXPECT_EQ(result->size(), 64u);
+    EXPECT_GE(pcie_.bytesMoved() - before, 4096u)
+        << "the result DMA must move the padded length";
     ASSERT_EQ(handler.reads.size(), 1u);
 }
 

@@ -189,13 +189,15 @@ TEST(Properties, StatsDumpMentionsEveryComponent)
     sys.run();
 
     std::ostringstream os;
-    sys.dumpStats(os);
+    sys.dumpStatsJson(os);
     std::string text = os.str();
     for (const char *key :
-         {"flash.pageReads", "ftl.hostReads", "sls.requests",
-          "nvme.commands", "pcie.bytesMoved", "driver.commands",
-          "ftl.cpu.util%"}) {
-        EXPECT_NE(text.find(key), std::string::npos) << key;
+         {"flash.page_reads", "ftl.host_reads", "sls.requests",
+          "nvme.commands", "pcie.bytes_moved", "driver.commands",
+          "ftl.cpu.busy_us"}) {
+        EXPECT_NE(text.find('"' + std::string(key) + '"'),
+                  std::string::npos)
+            << key;
     }
 }
 

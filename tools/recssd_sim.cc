@@ -2,8 +2,8 @@
  * @file
  * recssd_sim — command-line frontend to the simulator.
  *
- * Runs one end-to-end configuration and prints latency stats plus the
- * full device counters, without writing any C++:
+ * Runs one end-to-end configuration and prints latency stats (plus
+ * every device counter with `--stats-json -`), without writing any C++:
  *
  *   recssd_sim --model RM1 --backend ndp --trace k --k 1 --batch 16
  *   recssd_sim --model RM2 --backend base --host-cache --batches 8
@@ -72,7 +72,6 @@ struct Options
     std::string layout_policy = "log";
     unsigned hot_tier_pages = 1024;
     std::uint64_t seed = 42;
-    bool stats = false;
     bool list_models = false;
     bool serve = false;
     double qps = 50.0;
@@ -164,7 +163,6 @@ const Flag kFlags[] = {
      kChoice},
     {"--hot-tier-pages", "N", Common, &Options::hot_tier_pages},
     {"--seed", "N", Common, &Options::seed},  // RNG seed
-    {"--stats", nullptr, Common, &Options::stats},  // dump counters
     {"--list-models", nullptr, Common, &Options::list_models},  // and exit
 
     // Serving mode: open-loop load + batch scheduler + tail latency.
@@ -677,8 +675,6 @@ main(int argc, char **argv)
             static_cast<unsigned long long>(stats.flashPageReads));
     }
 
-    if (o.stats)
-        sys.dumpStats(std::cout);
     // Export the recorded observability artifacts.
     if (!o.trace_out.empty()) {
         sys.tracer().writeChromeTrace(trace_os);
